@@ -87,14 +87,15 @@ class Access
     }
 
     // --- mem::SetAssocCache / mem::Llc --------------------------
-    template <typename V>
+    template <typename V, typename K>
     static void
-    auditCache(const mem::SetAssocCache<V> &c, const char *what,
+    auditCache(const mem::SetAssocCache<V, K> &c, const char *what,
                Report &r)
     {
         std::size_t valid = 0;
         std::vector<std::uint64_t> tags;
         for (std::size_t s = 0; s < c.sets_; ++s) {
+            auditRecency(c, s, what, r);
             for (std::size_t w = 0; w < c.ways_; ++w) {
                 if (!((c.valid_[s] >> w) & 1))
                     continue;
@@ -126,6 +127,52 @@ class Access
             r.fail(what, "duplicate tag present in the array");
     }
 
+    /**
+     * The recency list of set @p s: the head-to-tail walk visits
+     * every way exactly once, each visited way's successor links back
+     * to it, and the walk ends at tail_. The head's prev and the
+     * tail's next links are unused, so they are not checked.
+     */
+    template <typename V, typename K>
+    static void
+    auditRecency(const mem::SetAssocCache<V, K> &c, std::size_t s,
+                 const char *what, Report &r)
+    {
+        const std::size_t ways = c.ways_;
+        const std::uint8_t *prev = c.prev_.data() + s * ways;
+        const std::uint8_t *next = c.next_.data() + s * ways;
+        std::uint64_t seen = 0;
+        std::size_t w = c.head_[s];
+        for (std::size_t k = 0;; ++k) {
+            if (w >= ways || ((seen >> w) & 1)) {
+                r.fail(what, formatMessage(
+                                 "set %zu recency list revisits or "
+                                 "leaves the set at way %zu after %zu "
+                                 "steps",
+                                 s, w, k));
+                return;
+            }
+            seen |= 1ull << w;
+            if (k + 1 == ways)
+                break;
+            const std::size_t n = next[w];
+            if (n < ways && prev[n] != w) {
+                r.fail(what, formatMessage(
+                                 "set %zu recency links disagree: "
+                                 "next[%zu] = %zu but prev[%zu] = %u",
+                                 s, w, n, n, unsigned{prev[n]}));
+                return;
+            }
+            w = n;
+        }
+        if (w != c.tail_[s]) {
+            r.fail(what, formatMessage(
+                             "set %zu recency list ends at way %zu but "
+                             "tail is %u",
+                             s, w, unsigned{c.tail_[s]}));
+        }
+    }
+
     static void
     auditLlc(const mem::Llc &llc, Report &r)
     {
@@ -144,6 +191,17 @@ class Access
             }
         }
         hopp_panic("no valid LLC line to corrupt");
+    }
+
+    static void
+    tamperLlcRecency(mem::Llc &llc)
+    {
+        auto &tags = llc.tags_;
+        hopp_assert(tags.ways_ >= 2, "need two ways to break a link");
+        // Point the head's successor back at itself instead of at
+        // the head: one broken prev link.
+        const std::uint8_t succ = tags.next_[tags.head_[0]];
+        tags.prev_[succ] = succ;
     }
 
     // --- vm::Vms / vm::Cgroup -----------------------------------
@@ -539,6 +597,12 @@ void
 leakLlcOccupancy(mem::Llc &llc)
 {
     Access::tamperLlc(llc);
+}
+
+void
+breakLlcRecencyLink(mem::Llc &llc)
+{
+    Access::tamperLlcRecency(llc);
 }
 
 } // namespace testing

@@ -101,7 +101,10 @@ void validateEventQueue(const sim::EventQueue &eq, EventQueueWatch &w,
  */
 void validateVms(const vm::Vms &vms, Report &r);
 
-/** LLC invariants: tag-array occupancy accounting and set placement. */
+/**
+ * LLC invariants: tag-array occupancy accounting, set placement and
+ * the shape of every set's recency list.
+ */
 void validateLlc(const mem::Llc &llc, Report &r);
 
 /**
@@ -124,6 +127,9 @@ void pushEventInPast(sim::EventQueue &eq, Tick when);
 
 /** Invalidate one LLC line without fixing occupancy accounting. */
 void leakLlcOccupancy(mem::Llc &llc);
+
+/** Break one prev link of set 0's LLC recency list. */
+void breakLlcRecencyLink(mem::Llc &llc);
 
 } // namespace testing
 

@@ -71,20 +71,6 @@ HotPagePipeline::addReplayBackend(PolicyEngine &policy,
     return backends_.size() - 1;
 }
 
-unsigned
-HotPagePipeline::channelOf(PhysAddr pa) const
-{
-    if (cfg_.channels == 1)
-        return 0;
-    // Interleaved: consecutive cachelines round-robin the channels.
-    // Non-interleaved: a whole page lives in one channel.
-    // Channel steering hashes the line/frame number's low bits.
-    std::uint64_t unit = cfg_.channelInterleaved
-                             ? lineOf(pa)
-                             : pageOf(pa).raw(); // hopp-lint: allow(raw)
-    return static_cast<unsigned>(unit & (cfg_.channels - 1));
-}
-
 HpdStats
 HotPagePipeline::hpdTotals() const
 {
@@ -114,13 +100,9 @@ HotPagePipeline::keepWarm(Pid pid, Vpn vpn, Tick now)
 }
 
 void
-HotPagePipeline::onMcAccess(PhysAddr pa, bool is_write, Tick now)
+HotPagePipeline::onHotPage(unsigned channel, Ppn ppn, Tick now)
 {
-    unsigned channel = channelOf(pa);
-    auto hot = hpds_[channel].access(pa, is_write);
-    if (!hot)
-        return;
-    auto entry = rptCaches_[channel].lookup(*hot);
+    auto entry = rptCaches_[channel].lookup(ppn);
     if (!entry) {
         // Frame not (or no longer) mapped: nothing to tell software.
         ++unmapped_;
@@ -129,7 +111,7 @@ HotPagePipeline::onMcAccess(PhysAddr pa, bool is_write, Tick now)
     HotPage hp;
     hp.pid = entry->pid;
     hp.vpn = entry->vpn;
-    hp.ppn = *hot;
+    hp.ppn = ppn;
     hp.shared = entry->shared;
     hp.huge = entry->hugeBits != 0;
     hp.time = now;

@@ -134,7 +134,18 @@ class HotPagePipeline
                     const HoppConfig &cfg);
 
     // --- hardware data path -------------------------------------
-    void onMcAccess(PhysAddr pa, bool is_write, Tick now);
+    /**
+     * Feed one MC access: steer it to its channel's HPD. Defined
+     * inline — it runs behind every LLC miss, and only the rare
+     * hot-page extraction leaves the header (onHotPage).
+     */
+    void
+    onMcAccess(PhysAddr pa, bool is_write, Tick now)
+    {
+        const unsigned channel = channelOf(pa);
+        if (auto hot = hpds_[channel].access(pa, is_write))
+            onHotPage(channel, *hot, now);
+    }
 
     // --- RPT maintenance (§V: set_pte_at / pte_clear) ------------
     void onPteSet(Pid pid, Vpn vpn, Ppn ppn, bool shared, bool huge,
@@ -145,7 +156,19 @@ class HotPagePipeline
     bool keepWarm(Pid pid, Vpn vpn, Tick now);
 
     /** Channel an MC access routes to. */
-    unsigned channelOf(PhysAddr pa) const;
+    unsigned
+    channelOf(PhysAddr pa) const
+    {
+        if (cfg_.channels == 1)
+            return 0;
+        // Interleaved: consecutive cachelines round-robin the channels.
+        // Non-interleaved: a whole page lives in one channel.
+        // Channel steering hashes the line/frame number's low bits.
+        std::uint64_t unit = cfg_.channelInterleaved
+                                 ? lineOf(pa)
+                                 : pageOf(pa).raw(); // hopp-lint: allow(raw)
+        return static_cast<unsigned>(unit & (cfg_.channels - 1));
+    }
 
     /** Component access for tests and benches (channel 0 views). */
     Hpd &hpd() { return hpds_[0]; }
@@ -222,6 +245,9 @@ class HotPagePipeline
     void setTracer(obs::Tracer *tracer) { trace_ = tracer; }
 
   private:
+    /** The HPD of @p channel extracted @p ppn: map it through the RPT
+     *  cache, push it to the ring and schedule a drain. */
+    void onHotPage(unsigned channel, Ppn ppn, Tick now);
     void drainRing();
     void pruneWarm(Tick now);
 

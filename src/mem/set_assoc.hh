@@ -8,17 +8,22 @@
  * frame-indexed MC tables); the set index is the low bits of the key,
  * exactly as the paper indexes the HPD table with the low PPN bits.
  *
- * Storage is structure-of-arrays: one flat tag array, one age array,
- * one valid bitmask word per set, and a separate payload array. A way
- * scan therefore touches two cache lines of tags (16 ways x 8 B)
- * instead of walking {valid, tag, age, payload} records — the tag
- * probe sits behind every simulated LLC access and every LLC miss
- * probes the HPD again, so the layout is the single largest host-side
- * cost of a simulated memory access (see DESIGN.md §14).
+ * Storage is structure-of-arrays: one flat tag array, one valid
+ * bitmask word per set, a separate payload array, and per set an
+ * intrusive doubly linked recency list over its ways (one-byte
+ * prev/next links per way, one-byte head/tail per set). A way scan
+ * therefore touches two cache lines of tags (16 ways x 8 B) instead of
+ * walking {valid, tag, age, payload} records, and LRU bookkeeping is
+ * O(1): a hit unlinks its way and pushes it to the head, a miss in a
+ * full set evicts the tail. The tag probe sits behind every simulated
+ * LLC access and every LLC miss probes the HPD again, so this is the
+ * single largest host-side cost of a simulated memory access (see
+ * DESIGN.md §14).
  */
 
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <optional>
@@ -58,13 +63,26 @@ class SetAssocCache
      */
     SetAssocCache(std::size_t sets, std::size_t ways)
         : sets_(sets), setMask_(sets - 1), ways_(ways),
-          tags_(sets * ways, 0), ages_(sets * ways, 0), valid_(sets, 0),
-          values_(sets * ways)
+          tags_(sets * ways, 0), valid_(sets, 0), values_(sets * ways),
+          prev_(sets * ways), next_(sets * ways), head_(sets, 0),
+          tail_(sets, static_cast<std::uint8_t>(ways - 1))
     {
         hopp_assert(sets > 0 && (sets & (sets - 1)) == 0,
                     "set count must be a power of two");
         hopp_assert(ways > 0 && ways <= 64,
                     "way count must fit the per-set valid word");
+        // Every set starts as the list 0 -> 1 -> ... -> ways-1. The
+        // order of never-filled ways is irrelevant: a set only evicts
+        // once full, and by then every way has been pushed to the
+        // head by the fill that validated it.
+        for (std::size_t w = 0; w < ways; ++w) {
+            prev_[w] = static_cast<std::uint8_t>(w == 0 ? 0 : w - 1);
+            next_[w] = static_cast<std::uint8_t>(w + 1 == ways ? w : w + 1);
+        }
+        for (std::size_t i = ways; i < sets * ways; i += ways) {
+            std::copy_n(prev_.begin(), ways, prev_.begin() + i);
+            std::copy_n(next_.begin(), ways, next_.begin() + i);
+        }
     }
 
     /** Number of sets. */
@@ -86,28 +104,30 @@ class SetAssocCache
     Value *
     touch(Key tag)
     {
-        std::size_t i = findIndex(rawKey(tag));
-        if (i == npos)
+        const std::uint64_t raw = rawKey(tag);
+        const std::size_t set = setIndex(raw);
+        std::size_t w = findWay(set, raw);
+        if (w == npos)
             return nullptr;
-        promote(i);
-        return &values_[i];
+        promote(set, w);
+        return &values_[set * ways_ + w];
     }
 
     /** Look up a tag without disturbing LRU state. */
     Value *
     peek(Key tag)
     {
-        std::size_t i = findIndex(rawKey(tag));
-        return i == npos ? nullptr : &values_[i];
+        const std::uint64_t raw = rawKey(tag);
+        const std::size_t set = setIndex(raw);
+        std::size_t w = findWay(set, raw);
+        return w == npos ? nullptr : &values_[set * ways_ + w];
     }
 
     /** Const lookup without disturbing LRU state. */
     const Value *
     peek(Key tag) const
     {
-        std::size_t i =
-            const_cast<SetAssocCache *>(this)->findIndex(rawKey(tag));
-        return i == npos ? nullptr : &values_[i];
+        return const_cast<SetAssocCache *>(this)->peek(tag);
     }
 
     /**
@@ -118,19 +138,21 @@ class SetAssocCache
     insert(Key tag, Value value)
     {
         const std::uint64_t raw = rawKey(tag);
-        std::size_t i = findIndex(raw);
-        if (i != npos) {
-            values_[i] = std::move(value);
-            promote(i);
+        const std::size_t set = setIndex(raw);
+        std::size_t w = findWay(set, raw);
+        if (w != npos) {
+            values_[set * ways_ + w] = std::move(value);
+            promote(set, w);
             return std::nullopt;
         }
-        const std::size_t set = setIndex(raw);
         bool evicted;
-        std::size_t v = victimIndex(set, &evicted);
+        w = victimWay(set, &evicted);
         std::optional<Eviction> out;
-        if (evicted)
+        if (evicted) {
+            const std::size_t v = set * ways_ + w;
             out = Eviction{Key{tags_[v]}, std::move(values_[v])};
-        fill(set, v, raw, std::move(value));
+        }
+        fill(set, w, raw, std::move(value));
         return out;
     }
 
@@ -146,12 +168,10 @@ class SetAssocCache
     /**
      * Combined probe-and-insert: exactly touch(tag), followed on miss
      * by insert(tag, missValue) — same hit promotion, same LRU victim
-     * choice (first invalid way, else strictly-oldest), same clock
-     * advance — but in a single way scan instead of three. This is the
-     * tag-array pattern of the per-access hot path (LLC, HPD), where
-     * the redundant scans were a measurable share of a simulated
-     * access; the split entry points remain for callers that probe
-     * without filling.
+     * choice (first invalid way, else the list tail) — but in a single
+     * way scan instead of three. This is the tag-array pattern of the
+     * per-access hot path (LLC, HPD); the split entry points remain
+     * for callers that probe without filling.
      */
     ProbeResult
     probeInsert(Key tag, Value missValue)
@@ -161,61 +181,50 @@ class SetAssocCache
         const std::size_t base = set * ways_;
         const std::uint64_t vmask = valid_[set];
         const std::uint64_t *tags = tags_.data() + base;
-        const std::uint64_t *ages = ages_.data() + base;
-        // One fused pass: hit probe and LRU victim tracking together,
-        // so a miss (the steady state of a streaming LLC) needs no
-        // second scan. Victim rule matches victimIndex(): first
-        // invalid way, else the strictly-oldest valid one.
-        std::size_t v = 0;
-        std::uint64_t vage = 0;
+        // MRU first: the HPD sees every line of a streamed page in a
+        // row, so 63 of 64 probes hit the head, which needs no
+        // promotion.
+        const std::size_t h = head_[set];
+        if (tags[h] == raw && (vmask >> h) & 1)
+            return {&values_[base + h], true, false};
         for (std::size_t w = 0; w < ways_; ++w) {
             if (tags[w] == raw && (vmask >> w) & 1) {
-                promote(base + w);
+                promote(set, w);
                 return {&values_[base + w], true, false};
             }
-            if (ages[w] > vage) {
-                vage = ages[w];
-                v = w;
-            }
         }
-        bool evicted = true;
-        const std::uint64_t full =
-            ways_ == 64 ? ~0ull : (1ull << ways_) - 1;
-        if (vmask != full) {
-            v = static_cast<std::size_t>(std::countr_one(vmask));
-            valid_[set] = vmask | (1ull << v);
-            ++live_;
-            evicted = false;
-        }
-        v += base;
-        fill(set, v, raw, std::move(missValue));
-        return {&values_[v], false, evicted};
+        bool evicted;
+        const std::size_t w = victimWay(set, &evicted);
+        fill(set, w, raw, std::move(missValue));
+        return {&values_[base + w], false, evicted};
     }
 
     /**
-     * Remove a tag if present.
+     * Remove a tag if present. The way keeps its place in the recency
+     * list; it is pushed to the head again when next filled.
      * @return the removed payload.
      */
     std::optional<Value>
     erase(Key tag)
     {
         const std::uint64_t raw = rawKey(tag);
-        std::size_t i = findIndex(raw);
-        if (i == npos)
+        const std::size_t set = setIndex(raw);
+        std::size_t w = findWay(set, raw);
+        if (w == npos)
             return std::nullopt;
-        valid_[setIndex(raw)] &= ~(1ull << (i % ways_));
+        valid_[set] &= ~(1ull << w);
         --live_;
-        return std::move(values_[i]);
+        return std::move(values_[set * ways_ + w]);
     }
 
-    /** Drop every entry. */
+    /** Drop every entry (the recency lists keep their shape, as
+     *  after erase()). */
     void
     clear()
     {
         for (auto &v : valid_)
             v = 0;
         live_ = 0;
-        clock_ = 0;
     }
 
     /** Visit every valid (tag, value) pair; fn(tag, value&). */
@@ -257,78 +266,88 @@ class SetAssocCache
         return static_cast<std::size_t>(raw & setMask_);
     }
 
-    /** Flat index of the valid line holding @p raw, or npos. */
+    /** Way of @p set holding a valid @p raw, or npos. */
     std::size_t
-    findIndex(std::uint64_t raw)
+    findWay(std::size_t set, std::uint64_t raw) const
     {
-        const std::size_t set = setIndex(raw);
-        const std::size_t base = set * ways_;
         const std::uint64_t vmask = valid_[set];
-        const std::uint64_t *tags = tags_.data() + base;
+        const std::uint64_t *tags = tags_.data() + set * ways_;
         for (std::size_t w = 0; w < ways_; ++w) {
             if (tags[w] == raw && (vmask >> w) & 1)
-                return base + w;
+                return w;
         }
         return npos;
     }
 
     /**
      * Replacement choice in @p set: the first invalid way, else the
-     * strictly-oldest valid one. Books the occupancy change; the
-     * caller writes tag/age/payload via fill().
+     * least recently used one (the list tail). Books the occupancy
+     * change; the caller writes tag/payload via fill().
      */
     std::size_t
-    victimIndex(std::size_t set, bool *evicted)
+    victimWay(std::size_t set, bool *evicted)
     {
         const std::uint64_t vmask = valid_[set];
         const std::uint64_t full =
             ways_ == 64 ? ~0ull : (1ull << ways_) - 1;
-        if (vmask != full) {
-            std::size_t w =
-                static_cast<std::size_t>(std::countr_one(vmask));
-            valid_[set] = vmask | (1ull << w);
-            ++live_;
-            *evicted = false;
-            return set * ways_ + w;
+        if (vmask == full) {
+            *evicted = true;
+            return tail_[set];
         }
-        const std::uint64_t *ages = ages_.data() + set * ways_;
-        std::size_t v = 0;
-        for (std::size_t w = 1; w < ways_; ++w) {
-            if (ages[w] > ages[v])
-                v = w;
-        }
-        *evicted = true;
-        return set * ways_ + v;
+        const std::size_t w =
+            static_cast<std::size_t>(std::countr_one(vmask));
+        valid_[set] = vmask | (1ull << w);
+        ++live_;
+        *evicted = false;
+        return w;
     }
 
     void
-    fill(std::size_t set, std::size_t idx, std::uint64_t raw,
+    fill(std::size_t set, std::size_t way, std::uint64_t raw,
          Value value)
     {
-        (void)set;
+        const std::size_t idx = set * ways_ + way;
         tags_[idx] = raw;
         values_[idx] = std::move(value);
-        promote(idx);
+        promote(set, way);
     }
 
+    /**
+     * Move @p way to the head of @p set's recency list. The head's
+     * prev and the tail's next links are unused and left stale.
+     */
     void
-    promote(std::size_t idx)
+    promote(std::size_t set, std::size_t way)
     {
-        // A global logical clock gives true LRU without per-set
-        // shuffles; ages decrease over time, so the oldest entry
-        // carries the numerically largest age.
-        ages_[idx] = ~(clock_++);
+        const std::uint8_t w = static_cast<std::uint8_t>(way);
+        const std::uint8_t h = head_[set];
+        if (w == h)
+            return;
+        std::uint8_t *prev = prev_.data() + set * ways_;
+        std::uint8_t *next = next_.data() + set * ways_;
+        const std::uint8_t p = prev[w];
+        const std::uint8_t n = next[w];
+        next[p] = n;
+        if (w == tail_[set])
+            tail_[set] = p;
+        else
+            prev[n] = p;
+        next[w] = h;
+        prev[h] = w;
+        head_[set] = w;
     }
 
     std::size_t sets_;
     std::uint64_t setMask_; //!< sets_ - 1, precomputed for setIndex()
     std::size_t ways_;
-    std::vector<std::uint64_t> tags_; //!< sets x ways raw keys
-    std::vector<std::uint64_t> ages_; //!< sets x ways LRU stamps
+    std::vector<std::uint64_t> tags_;  //!< sets x ways raw keys
     std::vector<std::uint64_t> valid_; //!< one bit per way, per set
     std::vector<Value> values_;        //!< sets x ways payloads
+    std::vector<std::uint8_t> prev_;   //!< sets x ways: toward head
+    std::vector<std::uint8_t> next_;   //!< sets x ways: toward tail
+    std::vector<std::uint8_t> head_;   //!< per set: MRU way
+    std::vector<std::uint8_t> tail_;   //!< per set: LRU way
     std::size_t live_ = 0;
-    std::uint64_t clock_ = 0;
 };
 
 } // namespace hopp::mem

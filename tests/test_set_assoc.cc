@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <optional>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "common/random.hh"
 #include "mem/set_assoc.hh"
 
 using hopp::mem::SetAssocCache;
@@ -134,4 +139,233 @@ TEST(SetAssoc, TouchedKeySurvivesWaysMinusOneInsertions)
     EXPECT_NE(c.peek(3), nullptr);
     c.insert(999, 0);
     EXPECT_EQ(c.peek(3), nullptr);
+}
+
+namespace
+{
+
+/**
+ * Reference model: the global-clock age-stamp LRU the recency lists
+ * replaced. Every promotion stamps the way with a fresh, strictly
+ * decreasing age; a full set evicts the way with the largest age (the
+ * least recently promoted), a non-full one fills its first invalid
+ * way. Deliberately the simplest correct form — split scans, no
+ * fusion — since it exists only to be obviously right.
+ */
+class AgeStampCache
+{
+  public:
+    AgeStampCache(std::size_t sets, std::size_t ways)
+        : sets_(sets), ways_(ways), tags_(sets * ways, 0),
+          ages_(sets * ways, 0), valid_(sets, 0), values_(sets * ways)
+    {
+    }
+
+    int *
+    touch(std::uint64_t tag)
+    {
+        std::size_t i = find(tag);
+        if (i == npos)
+            return nullptr;
+        ages_[i] = ~(clock_++);
+        return &values_[i];
+    }
+
+    int *
+    peek(std::uint64_t tag)
+    {
+        std::size_t i = find(tag);
+        return i == npos ? nullptr : &values_[i];
+    }
+
+    std::optional<std::pair<std::uint64_t, int>>
+    insert(std::uint64_t tag, int value)
+    {
+        if (int *v = touch(tag)) {
+            *v = value;
+            return std::nullopt;
+        }
+        const std::size_t set = tag & (sets_ - 1);
+        const std::size_t base = set * ways_;
+        std::optional<std::pair<std::uint64_t, int>> out;
+        std::size_t v;
+        if (std::popcount(valid_[set]) < static_cast<int>(ways_)) {
+            v = base + static_cast<std::size_t>(
+                           std::countr_one(valid_[set]));
+            valid_[set] |= 1ull << (v - base);
+        } else {
+            v = base;
+            for (std::size_t w = 1; w < ways_; ++w) {
+                if (ages_[base + w] > ages_[v])
+                    v = base + w;
+            }
+            out = std::make_pair(tags_[v], values_[v]);
+        }
+        tags_[v] = tag;
+        values_[v] = value;
+        ages_[v] = ~(clock_++);
+        return out;
+    }
+
+    std::optional<int>
+    erase(std::uint64_t tag)
+    {
+        std::size_t i = find(tag);
+        if (i == npos)
+            return std::nullopt;
+        valid_[i / ways_] &= ~(1ull << (i % ways_));
+        return values_[i];
+    }
+
+    void
+    clear()
+    {
+        for (auto &v : valid_)
+            v = 0;
+        clock_ = 0;
+    }
+
+    std::vector<std::pair<std::uint64_t, int>>
+    contents() const
+    {
+        std::vector<std::pair<std::uint64_t, int>> out;
+        for (std::size_t s = 0; s < sets_; ++s) {
+            for (std::size_t w = 0; w < ways_; ++w) {
+                if ((valid_[s] >> w) & 1)
+                    out.emplace_back(tags_[s * ways_ + w],
+                                     values_[s * ways_ + w]);
+            }
+        }
+        return out;
+    }
+
+  private:
+    static constexpr std::size_t npos = ~std::size_t{0};
+
+    std::size_t
+    find(std::uint64_t tag) const
+    {
+        const std::size_t set = tag & (sets_ - 1);
+        for (std::size_t w = 0; w < ways_; ++w) {
+            std::size_t i = set * ways_ + w;
+            if (((valid_[set] >> w) & 1) && tags_[i] == tag)
+                return i;
+        }
+        return npos;
+    }
+
+    std::size_t sets_;
+    std::size_t ways_;
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint64_t> ages_;
+    std::vector<std::uint64_t> valid_;
+    std::vector<int> values_;
+    std::uint64_t clock_ = 0;
+};
+
+std::vector<std::pair<std::uint64_t, int>>
+contents(SetAssocCache<int> &c)
+{
+    std::vector<std::pair<std::uint64_t, int>> out;
+    c.forEach([&](std::uint64_t tag, int &v) { out.emplace_back(tag, v); });
+    return out;
+}
+
+/**
+ * Drive the cache and the age-stamp model with one Pcg32-seeded mix
+ * of every entry point and require identical observable behaviour:
+ * the same hit/miss outcomes, the same evictions and victim tags, the
+ * same payloads, and the same forEach sequence (way placement
+ * included).
+ */
+void
+checkAgainstAgeStamps(std::size_t sets, std::size_t ways,
+                      std::uint64_t seed, std::size_t ops)
+{
+    SCOPED_TRACE(testing::Message()
+                 << sets << "x" << ways << " seed " << seed);
+    SetAssocCache<int> dut(sets, ways);
+    AgeStampCache ref(sets, ways);
+    hopp::Pcg32 rng(seed);
+    const std::size_t cap = sets * ways;
+    // Twice the capacity in distinct tags: full sets, a steady mix of
+    // hits and misses, and real LRU decisions on every geometry.
+    const std::uint32_t pool = static_cast<std::uint32_t>(2 * cap);
+    const std::uint32_t clearOdds = static_cast<std::uint32_t>(16 * cap);
+    std::uint64_t last = 0;
+    for (std::size_t i = 0; i < ops; ++i) {
+        const int value = static_cast<int>(i);
+        // One access in four re-touches the previous tag: the MRU
+        // streak an HPD sees along a page.
+        std::uint64_t tag = rng.below(4) == 0 ? last : rng.below(pool);
+        last = tag;
+        const std::uint32_t op = rng.below(100);
+        if (rng.below(clearOdds) == 0) {
+            dut.clear();
+            ref.clear();
+        } else if (op < 35) {
+            auto r = dut.probeInsert(tag, value);
+            int *hit = ref.touch(tag);
+            ASSERT_EQ(r.hit, hit != nullptr) << "op " << i;
+            if (hit) {
+                ASSERT_FALSE(r.evicted);
+                ASSERT_EQ(*r.value, *hit) << "op " << i;
+                ++*r.value;
+                ++*hit;
+            } else {
+                auto ev = ref.insert(tag, value);
+                ASSERT_EQ(r.evicted, ev.has_value()) << "op " << i;
+                ASSERT_EQ(*r.value, value);
+            }
+        } else if (op < 55) {
+            int *a = dut.touch(tag);
+            int *b = ref.touch(tag);
+            ASSERT_EQ(a != nullptr, b != nullptr) << "op " << i;
+            if (a) {
+                ASSERT_EQ(*a, *b) << "op " << i;
+            }
+        } else if (op < 80) {
+            auto a = dut.insert(tag, value);
+            auto b = ref.insert(tag, value);
+            ASSERT_EQ(a.has_value(), b.has_value()) << "op " << i;
+            if (a) {
+                ASSERT_EQ(a->tag, b->first) << "op " << i;
+                ASSERT_EQ(a->value, b->second) << "op " << i;
+            }
+        } else if (op < 90) {
+            int *a = dut.peek(tag);
+            int *b = ref.peek(tag);
+            ASSERT_EQ(a != nullptr, b != nullptr) << "op " << i;
+            if (a) {
+                ASSERT_EQ(*a, *b) << "op " << i;
+            }
+        } else {
+            auto a = dut.erase(tag);
+            auto b = ref.erase(tag);
+            ASSERT_EQ(a, b) << "op " << i;
+        }
+        if (i % 1024 == 0) {
+            ASSERT_EQ(contents(dut), ref.contents()) << "op " << i;
+        }
+    }
+    ASSERT_EQ(contents(dut), ref.contents());
+    ASSERT_EQ(dut.size(), ref.contents().size());
+}
+
+} // namespace
+
+// The recency-list LRU is exactly the age-stamp LRU it replaced, on
+// every geometry the simulator uses: degenerate, small, the HPD's
+// 4x16, the widest (64 ways, the ablation HPD) and an LLC-like one.
+TEST(SetAssocOracle, MatchesAgeStampLru)
+{
+    const std::pair<std::size_t, std::size_t> geometries[] = {
+        {1, 1}, {4, 2}, {4, 16}, {4, 64}, {512, 16}};
+    for (auto [sets, ways] : geometries) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            checkAgainstAgeStamps(sets, ways, seed, 60000);
+            if (HasFatalFailure())
+                return;
+        }
+    }
 }
