@@ -148,17 +148,34 @@ runRsp(const StreamView &view)
 std::optional<Prediction>
 runThreeTier(const StreamView &view, unsigned tier_mask)
 {
-    if (tier_mask & tiers::ssp) {
-        if (auto p = runSsp(view))
-            return p;
-    }
-    if (tier_mask & tiers::lsp) {
-        if (auto p = runLsp(view))
-            return p;
-    }
-    if (tier_mask & tiers::rsp) {
-        if (auto p = runRsp(view))
-            return p;
+    TierMemo memo;
+    memo.reset(view);
+    return memo.runThreeTier(tier_mask);
+}
+
+std::optional<Prediction>
+TierMemo::runThreeTier(unsigned tier_mask)
+{
+    for (unsigned t = 0; t < 3; ++t) {
+        const unsigned bit = 1u << t;
+        if (!(tier_mask & bit))
+            continue;
+        if (!(done_ & bit)) {
+            done_ |= bit;
+            switch (static_cast<Tier>(t)) {
+              case Tier::Ssp:
+                result_[t] = runSsp(*view_);
+                break;
+              case Tier::Lsp:
+                result_[t] = runLsp(*view_);
+                break;
+              default:
+                result_[t] = runRsp(*view_);
+                break;
+            }
+        }
+        if (result_[t])
+            return result_[t];
     }
     return std::nullopt;
 }

@@ -87,5 +87,39 @@ std::optional<Prediction> runRsp(const StreamView &view);
 std::optional<Prediction> runThreeTier(const StreamView &view,
                                        unsigned tier_mask = tiers::all);
 
+/**
+ * The three tiers over one StreamView, each run at most once and only
+ * when a caller first needs it. runSsp/runLsp/runRsp are pure
+ * functions of the view, so every trainer that reads one memo gets
+ * exactly what its own runThreeTier would return, while the tier
+ * scans run once per distinct view instead of once per trainer.
+ */
+class TierMemo
+{
+  public:
+    /** Start over on a new view; forgets every memoized result. */
+    void
+    reset(const std::optional<StreamView> &view)
+    {
+        view_ = view;
+        done_ = 0;
+    }
+
+    /** The view the results refer to (nullopt: no stream context). */
+    const std::optional<StreamView> &view() const { return view_; }
+
+    /**
+     * runThreeTier(*view(), tier_mask): the first enabled tier, in
+     * SSP -> LSP -> RSP order, that identifies the stream. Requires
+     * view().
+     */
+    std::optional<Prediction> runThreeTier(unsigned tier_mask);
+
+  private:
+    std::optional<StreamView> view_;
+    std::optional<Prediction> result_[3]; //!< indexed by Tier
+    unsigned done_ = 0; //!< tier bits whose result_ is computed
+};
+
 } // namespace hopp::core
 

@@ -41,6 +41,8 @@ struct MarkovConfig
 
     /** Successor-chain depth followed per prediction. */
     unsigned chainDepth = 2;
+
+    bool operator==(const MarkovConfig &) const = default;
 };
 
 /** Markov-table counters. */
@@ -67,6 +69,8 @@ class MarkovTable
      * Predict the likely successor chain of (pid, vpn): the dominant
      * successor, its dominant successor, and so on up to @p depth
      * (cfg.chainDepth when 0), plus the runner-up of the first hop.
+     * Only peeks: the table's contents and LRU state are unchanged,
+     * so any number of readers may share one trained table.
      */
     std::vector<Vpn> predict(Pid pid, Vpn vpn, unsigned depth = 0);
 

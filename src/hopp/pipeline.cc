@@ -17,9 +17,7 @@ HotPagePipeline::HotPagePipeline(sim::EventQueue &eq, mem::Dram &dram,
     : eq_(eq), dram_(dram), cfg_(cfg), ring_(cfg.ringCapacity),
       sink_(sink)
 {
-    std::size_t group = sttGroupFor(cfg_.stt);
-    backends_.push_back(std::make_unique<Backend>(
-        *sttGroups_[group].stt, group, policy, sink, cfg_));
+    addBackend(policy, sink, cfg_);
     hopp_assert(cfg_.channels >= 1, "need at least one channel");
     hopp_assert((cfg_.channels & (cfg_.channels - 1)) == 0,
                 "channel count must be a power of two");
@@ -51,8 +49,43 @@ HotPagePipeline::sttGroupFor(const SttConfig &cfg)
             return i;
     }
     sttGroups_.push_back(
-        SttGroup{cfg, std::make_unique<Stt>(cfg), std::nullopt});
+        SttGroup{cfg, std::make_unique<Stt>(cfg), TierMemo{}});
     return sttGroups_.size() - 1;
+}
+
+MarkovTable &
+HotPagePipeline::markovTableFor(const MarkovConfig &cfg)
+{
+    for (MarkovGroup &g : markovGroups_) {
+        if (g.cfg == cfg)
+            return *g.table;
+    }
+    markovGroups_.push_back(
+        MarkovGroup{cfg, std::make_unique<MarkovTable>(cfg), {}});
+    return *markovGroups_.back().table;
+}
+
+void
+HotPagePipeline::MarkovGroup::train(const HotPage &hp)
+{
+    auto [it, fresh] = lastHot.try_emplace(hp.pid, hp.vpn);
+    if (!fresh) {
+        if (it->second != hp.vpn)
+            table->train(hp.pid, it->second, hp.vpn);
+        it->second = hp.vpn;
+    }
+}
+
+void
+HotPagePipeline::addBackend(PolicyEngine &policy, PrefetchSink &sink,
+                            const HoppConfig &soft)
+{
+    MarkovTable *markov = (soft.tierMask & tiers::markov)
+                              ? &markovTableFor(soft.markov)
+                              : nullptr;
+    backends_.push_back(Backend{
+        Trainer(policy, sink, soft.tierMask, soft.batch, markov),
+        sttGroupFor(soft.stt)});
 }
 
 std::size_t
@@ -65,9 +98,7 @@ HotPagePipeline::addReplayBackend(PolicyEngine &policy,
     // would have seen, silently breaking the fidelity contract.
     hopp_assert(hotPagesSeen_ == 0 && ring_.pushed() == 0,
                 "backends must be attached before the first access");
-    std::size_t group = sttGroupFor(soft.stt);
-    backends_.push_back(std::make_unique<Backend>(
-        *sttGroups_[group].stt, group, policy, sink, soft));
+    addBackend(policy, sink, soft);
     return backends_.size() - 1;
 }
 
@@ -155,14 +186,17 @@ HotPagePipeline::drainRing()
             if (lastHot_.size() >= warmPruneAt_)
                 pruneWarm(eq_.now());
         }
-        // Feed each distinct-config STT once; every backend of a
-        // group trains on the same view — identical to each trainer
-        // feeding a private table, minus the per-backend scan.
-        for (auto &g : sttGroups_)
-            g.view = g.stt->feed(hp->pid, hp->vpn);
+        // Feed each distinct-config STT and train each distinct-config
+        // correlation table once; every backend of a group reads the
+        // same view, tier results and table — identical to each
+        // trainer keeping private copies, minus the per-backend work.
+        for (SttGroup &g : sttGroups_)
+            g.tiers.reset(g.stt->feed(hp->pid, hp->vpn));
+        for (MarkovGroup &m : markovGroups_)
+            m.train(*hp);
         for (auto &backend : backends_) {
-            backend->trainer.onHotPage(
-                *hp, sttGroups_[backend->sttGroup].view, eq_.now());
+            backend.trainer.onHotPage(
+                *hp, sttGroups_[backend.sttGroup].tiers, eq_.now());
         }
     }
     if (trace_ && drained) {
@@ -236,7 +270,7 @@ HotPagePipeline::resetStats()
     for (auto &g : sttGroups_)
         g.stt->resetStats();
     for (auto &backend : backends_)
-        backend->trainer.resetStats();
+        backend.trainer.resetStats();
     ring_.resetStats();
     unmapped_ = 0;
     hotPagesSeen_ = 0;

@@ -19,8 +19,8 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/flat_map.hh"
@@ -188,7 +188,7 @@ class HotPagePipeline
     /** The configuration in effect. */
     const HoppConfig &config() const { return cfg_; }
     Stt &stt() { return stt(0); }
-    Trainer &trainer() { return backends_[0]->trainer; }
+    Trainer &trainer() { return backends_[0].trainer; }
     HotPageRing &ring() { return ring_; }
 
     /**
@@ -209,11 +209,11 @@ class HotPagePipeline
     std::size_t backendCount() const { return backends_.size(); }
     Stt &stt(std::size_t backend)
     {
-        return *sttGroups_[backends_.at(backend)->sttGroup].stt;
+        return *sttGroups_[backends_.at(backend).sttGroup].stt;
     }
     Trainer &trainer(std::size_t backend)
     {
-        return backends_.at(backend)->trainer;
+        return backends_.at(backend).trainer;
     }
 
     /** Hot pages whose PPN the RPT could not map (dropped). */
@@ -255,38 +255,54 @@ class HotPagePipeline
      * One shared stream table: backends whose SttConfigs are equal see
      * byte-identical STT behaviour on the shared hot-page stream, so
      * they share one table and the per-hot-page clustering scan runs
-     * once per distinct config rather than once per backend. The view
-     * member is drain-loop scratch: the feed result every trainer of
-     * the group consumes for the current hot page.
+     * once per distinct config rather than once per backend. The memo
+     * is drain-loop scratch: the feed result every trainer of the
+     * group consumes for the current hot page, and the tier results
+     * computed on it so far (each tier runs at most once per hot page
+     * for the whole group; a trainer's mask picks the first success).
      */
     struct SttGroup
     {
         SttConfig cfg;
         std::unique_ptr<Stt> stt;
-        std::optional<StreamView> view;
+        TierMemo tiers;
     };
 
     /**
-     * One software cell: the trainer, bound to its group's shared STT.
-     * Held by unique_ptr because Trainer keeps references — it must
-     * never relocate.
+     * One shared correlation table per distinct MarkovConfig, with the
+     * per-PID last hot page it learns transitions from. Training reads
+     * only the hot-page stream, and prediction only peeks, so every
+     * Markov-enabled backend of the group reads exactly the table a
+     * private copy would hold; the pipeline trains it once per hot
+     * page, before any backend runs. Its MarkovStats sum over the
+     * group's backends.
      */
+    struct MarkovGroup
+    {
+        MarkovConfig cfg;
+        std::unique_ptr<MarkovTable> table;
+        std::unordered_map<Pid, Vpn> lastHot;
+
+        /** Learn the transition into @p hp of its pid's sequence. */
+        void train(const HotPage &hp);
+    };
+
+    /** One software cell: the trainer and its STT group. */
     struct Backend
     {
-        Backend(Stt &stt, std::size_t group, PolicyEngine &policy,
-                PrefetchSink &sink, const HoppConfig &soft)
-            : trainer(stt, policy, sink, soft.tierMask, soft.batch,
-                      soft.markov),
-              sttGroup(group)
-        {
-        }
-
         Trainer trainer;
         std::size_t sttGroup;
     };
 
+    /** Build and attach the backend of @p soft's software half. */
+    void addBackend(PolicyEngine &policy, PrefetchSink &sink,
+                    const HoppConfig &soft);
+
     /** Index of the group serving @p cfg, creating it if new. */
     std::size_t sttGroupFor(const SttConfig &cfg);
+
+    /** The shared table serving @p cfg, creating it if new. */
+    MarkovTable &markovTableFor(const MarkovConfig &cfg);
 
     sim::EventQueue &eq_;
     mem::Dram &dram_;
@@ -299,7 +315,8 @@ class HotPagePipeline
     HotPageRing ring_;
     PrefetchSink &sink_;
     std::vector<SttGroup> sttGroups_;
-    std::vector<std::unique_ptr<Backend>> backends_;
+    std::vector<MarkovGroup> markovGroups_;
+    std::vector<Backend> backends_;
     bool drainScheduled_ = false;
     std::uint64_t unmapped_ = 0;
     obs::Tracer *trace_ = nullptr;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "common/logging.hh"
 #include "hopp/algorithms.hh"
 #include "hopp/hot_page.hh"
 #include "hopp/markov.hh"
@@ -60,50 +61,54 @@ struct BatchConfig
 };
 
 /**
- * The software training loop.
+ * The software training loop of one policy cell. Everything it reads
+ * per hot page that does not depend on the cell is computed once by
+ * the pipeline and shared: the STT feed and the tier results (a
+ * TierMemo per distinct STT config), and the trained correlation
+ * table (one MarkovTable per distinct MarkovConfig, see
+ * HotPagePipeline). The trainer keeps only cell-private state: the
+ * counters and the huge-batch countdowns.
  */
 class Trainer
 {
   public:
-    Trainer(Stt &stt, PolicyEngine &policy, PrefetchSink &exec,
+    /**
+     * @p markov is the shared, already-trained correlation table, or
+     * nullptr when @p tier_mask lacks tiers::markov.
+     */
+    Trainer(PolicyEngine &policy, PrefetchSink &exec,
             unsigned tier_mask = tiers::all, BatchConfig batch = {},
-            MarkovConfig markov = {})
-        : stt_(stt), policy_(policy), exec_(exec), tierMask_(tier_mask),
+            MarkovTable *markov = nullptr)
+        : policy_(policy), exec_(exec), tierMask_(tier_mask),
           batch_(batch), markov_(markov)
     {
-    }
-
-    /** Process one hot-page record at time @p now. */
-    void
-    onHotPage(const HotPage &hp, Tick now)
-    {
-        onHotPage(hp, stt_.feed(hp.pid, hp.vpn), now);
+        hopp_assert((markov_ != nullptr) ==
+                        ((tierMask_ & tiers::markov) != 0),
+                    "the Markov tier needs a table, and only it");
     }
 
     /**
-     * Process one hot-page record whose STT feed already happened —
-     * the shared-STT fan-out path: backends with equal STT configs see
-     * identical tables, so the pipeline feeds each distinct table once
-     * per hot page and hands every trainer of the group the same view.
-     * Identical to each trainer feeding a private copy.
+     * Process one hot-page record. The STT feed already happened:
+     * @p memo holds its view and the tier results computed so far,
+     * and the correlation table already learned this hot page.
+     * Identical to feeding a private STT, running runThreeTier on the
+     * view and training a private table first.
      */
     void
-    onHotPage(const HotPage &hp, const std::optional<StreamView> &view,
-              Tick now)
+    onHotPage(const HotPage &hp, TierMemo &memo, Tick now)
     {
         ++stats_.hotPages;
-        if (tierMask_ & tiers::markov)
-            trainMarkov(hp);
+        const std::optional<StreamView> &view = memo.view();
         if (!view) {
             // No stream context yet; the correlation tier can still
             // act on a learned transition.
-            if (tierMask_ & tiers::markov)
+            if (markov_)
                 predictMarkov(hp, now);
             return;
         }
-        auto pred = runThreeTier(*view, tierMask_);
+        auto pred = memo.runThreeTier(tierMask_);
         if (!pred) {
-            if ((tierMask_ & tiers::markov) && predictMarkov(hp, now))
+            if (markov_ && predictMarkov(hp, now))
                 return;
             ++stats_.noPattern;
             return;
@@ -121,9 +126,6 @@ class Trainer
             }
         }
     }
-
-    /** The correlation table (tests/benches). */
-    MarkovTable &markov() { return markov_; }
 
     /** Counters. */
     const TrainerStats &stats() const { return stats_; }
@@ -174,18 +176,6 @@ class Trainer
             batchCountdown_.clear();
     }
 
-    /** Feed the correlation table with the per-PID hot sequence. */
-    void
-    trainMarkov(const HotPage &hp)
-    {
-        auto [it, fresh] = lastHot_.try_emplace(hp.pid, hp.vpn);
-        if (!fresh) {
-            if (it->second != hp.vpn)
-                markov_.train(hp.pid, it->second, hp.vpn);
-            it->second = hp.vpn;
-        }
-    }
-
     /**
      * Correlation-tier prediction: chase the learned successor chain
      * as deep as the stream-agnostic policy offset asks.
@@ -202,7 +192,7 @@ class Trainer
         auto depth = static_cast<unsigned>(std::min<std::uint64_t>(
             16, std::max<std::uint64_t>(
                     2, policy_.offsets(stream_id).front())));
-        auto targets = markov_.predict(hp.pid, hp.vpn, depth);
+        auto targets = markov_->predict(hp.pid, hp.vpn, depth);
         if (targets.empty())
             return false;
         ++stats_.predictions[static_cast<unsigned>(Tier::Mkv)];
@@ -211,14 +201,12 @@ class Trainer
         return true;
     }
 
-    Stt &stt_;
     PolicyEngine &policy_;
     PrefetchSink &exec_;
     unsigned tierMask_;
     BatchConfig batch_;
-    MarkovTable markov_;
+    MarkovTable *markov_;
     std::unordered_map<std::uint64_t, std::uint64_t> batchCountdown_;
-    std::unordered_map<Pid, Vpn> lastHot_;
     TrainerStats stats_;
 };
 

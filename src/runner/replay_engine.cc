@@ -60,7 +60,7 @@ ReplayEngine::CellSink::requestBatch(Pid pid, Vpn vpn, unsigned count,
 std::size_t
 ReplayEngine::CellSink::outstanding() const
 {
-    return engine->cells_[cell]->outstanding.size();
+    return engine->cells_[cell]->outstanding;
 }
 
 ReplayEngine::ReplayEngine(const ReplayConfig &cfg)
@@ -90,16 +90,44 @@ ReplayEngine::ReplayEngine(const std::vector<ReplayConfig> &cells)
             "fan-out cells must share the hardware configuration");
         cell.sink.engine = this;
         cell.sink.cell = static_cast<unsigned>(i);
-        // Sized for the common case so the replay loop's oracle
-        // updates are flat probes; growth past this is handled (and
-        // allowed) in FlatU64Map itself.
-        cell.outstanding.reserve(1 << 12);
         if (i != 0)
             pipeline_.addReplayBackend(cell.policy, cell.sink,
                                        cell.cfg.hopp);
     }
-    shadow_.reserve(1 << 16);
-    pages_.reserve(1 << 16);
+}
+
+std::uint32_t
+ReplayEngine::pageIndex(std::uint64_t key)
+{
+    const std::size_t known = pages_.size();
+    std::uint32_t &slot = pages_[key];
+    if (pages_.size() != known) {
+        slot = static_cast<std::uint32_t>(oracle_.size());
+        // Geometric growth: one slot per distinct page, reaching the
+        // trace's page count in O(log n) reallocations. hopp-analyze: allow(hotpath-alloc)
+        oracle_.emplace_back();
+    }
+    return slot;
+}
+
+std::uint32_t
+ReplayEngine::takeBlock()
+{
+    if (!freeBlocks_.empty()) {
+        std::uint32_t block = freeBlocks_.back();
+        freeBlocks_.pop_back();
+        return block;
+    }
+    const std::size_t width = cells_.size();
+    auto block = static_cast<std::uint32_t>(ready_.size() / width);
+    // Geometric growth: the ledger reaches the high-water count of
+    // pages with a pending prediction in O(log n) reallocations, then
+    // steady state recycles freed blocks. hopp-analyze: allow(hotpath-alloc)
+    ready_.resize(ready_.size() + width);
+    // The free list never holds more blocks than exist, so sizing it
+    // with the ledger keeps every release allocation-free.
+    freeBlocks_.reserve(ready_.capacity() / width);
+    return block;
 }
 
 void
@@ -107,39 +135,47 @@ ReplayEngine::oracleRequest(unsigned cell, Pid pid, Vpn vpn, Tick now)
 {
     Cell &c = *cells_[cell];
     ++c.result.requested;
-    std::uint64_t key = vm::pageKey(pid, vpn);
-    // Re-requesting a page whose prediction was never consumed means
-    // the earlier prediction did not get used; charge it now so the
-    // ledger cannot double-count one demand against two requests.
-    Tick &ready = c.outstanding[key];
-    if (ready != Tick{})
-        ++c.result.unused;
+    PageOracle &po = oracle_[pageIndex(vm::pageKey(pid, vpn))];
+    if (po.pendingMask == 0)
+        po.block = takeBlock();
+    const std::uint32_t bit = 1u << cell;
+    Tick &ready = ready_[po.block * cells_.size() + cell];
+    if (po.pendingMask & bit) {
+        // Re-requesting a page whose prediction was never consumed
+        // means the earlier prediction did not get used; charge it
+        // now so the ledger cannot double-count one demand against
+        // two requests.
+        if (ready != Tick{})
+            ++c.result.unused;
+    } else {
+        po.pendingMask |= bit;
+        ++c.outstanding;
+    }
     ready = now + c.cfg.arrivalDelay;
-    pages_[key].pendingMask |= 1u << cell;
 }
 
 void
-ReplayEngine::oracleDemand(Pid pid, Vpn vpn, Tick now)
+ReplayEngine::oracleDemand(PageOracle &po, Tick now)
 {
-    std::uint64_t key = vm::pageKey(pid, vpn);
-    PageOracle &po = pages_[key];
     std::uint32_t pending = po.pendingMask;
     if (pending != 0) {
         po.pendingMask = 0;
+        const Tick *ready = &ready_[po.block * cells_.size()];
         // Only cells with a prediction outstanding on this page pay
         // anything here; per record, cells that did not predict it
         // cost nothing — that is the fan-out's scaling property.
         for (std::uint32_t m = pending; m != 0; m &= m - 1) {
-            Cell &c = *cells_[std::countr_zero(m)];
-            Tick *ready = c.outstanding.find(key);
-            if (now < *ready)
+            const auto i = static_cast<unsigned>(std::countr_zero(m));
+            Cell &c = *cells_[i];
+            if (now < ready[i])
                 ++c.result.late;
-            else if (now - *ready <= c.cfg.useWindow)
+            else if (now - ready[i] <= c.cfg.useWindow)
                 ++c.result.used;
             else
                 ++c.result.unused;
-            c.outstanding.erase(key);
+            --c.outstanding;
         }
+        freeBlocks_.push_back(po.block);
     }
     if (!po.seen) {
         po.seen = true;
@@ -156,10 +192,9 @@ ReplayEngine::dispatch(const trace::ReplayRecord &r)
       case trace::ReplayKind::Mc: {
         ++mcAccesses_;
         if (!r.isWrite) {
-            const std::uint64_t *key = shadow_.find(pageOf(r.pa).raw()); // hopp-lint: allow(raw) map key
-            if (key)
-                oracleDemand(vm::keyPid(*key), vm::keyVpn(*key),
-                             r.tick);
+            const std::uint32_t *page = shadow_.find(pageOf(r.pa).raw()); // hopp-lint: allow(raw) map key
+            if (page)
+                oracleDemand(oracle_[*page], r.tick);
         }
         pipeline_.onMcAccess(r.pa, r.isWrite, r.tick);
         break;
@@ -174,13 +209,13 @@ ReplayEngine::dispatch(const trace::ReplayRecord &r)
             r.ppn, core::RptEntry{r.pid, r.vpn, r.shared,
                                   static_cast<std::uint8_t>(
                                       r.huge ? 1 : 0)});
-        shadow_[r.ppn.raw()] = vm::pageKey(r.pid, r.vpn); // hopp-lint: allow(raw) map key
+        shadow_[r.ppn.raw()] = pageIndex(vm::pageKey(r.pid, r.vpn)); // hopp-lint: allow(raw) map key
         break;
       case trace::ReplayKind::PteSet:
         ++pteEvents_;
         pipeline_.onPteSet(r.pid, r.vpn, r.ppn, r.shared, r.huge,
                            r.tick);
-        shadow_[r.ppn.raw()] = vm::pageKey(r.pid, r.vpn); // hopp-lint: allow(raw) map key
+        shadow_[r.ppn.raw()] = pageIndex(vm::pageKey(r.pid, r.vpn)); // hopp-lint: allow(raw) map key
         break;
       case trace::ReplayKind::PteClear:
         ++pteEvents_;
@@ -226,7 +261,7 @@ ReplayEngine::run(trace::TraceReader &reader)
         res.demandPages = demandPages_;
         // Whatever is still outstanding was never consumed by a
         // demand.
-        res.unused += cell->outstanding.size();
+        res.unused += cell->outstanding;
     }
     return reader.status();
 }

@@ -22,10 +22,15 @@
  * each hot page fans out to every cell's trainer
  * (HotPagePipeline::addReplayBackend). Per cell, both the MC-side
  * stats document and the oracle ledger are byte-identical to a solo
- * replay of that cell; the per-record cost of an extra cell is zero
- * (cells only pay per hot page and per prediction). This is what
- * makes a software-policy sweep run at memory speed rather than at
- * simulation speed.
+ * replay of that cell; the per-record cost of an extra cell is zero.
+ * Cells only pay per hot page and per prediction, and even there the
+ * work that does not depend on the cell is shared: the STT feed and
+ * tier results once per distinct STT config, the correlation table
+ * once per distinct Markov config (HotPagePipeline), and one oracle
+ * page probe per request or demand, whose per-cell arrival ticks sit
+ * side by side in one ledger block. This is what makes a
+ * software-policy sweep run at memory speed rather than at simulation
+ * speed.
  */
 
 #pragma once
@@ -178,25 +183,32 @@ class ReplayEngine
         core::PolicyEngine policy;
         CellSink sink;
         ReplayResult result;
-        /// pageKey -> modeled arrival tick of an un-demanded
-        /// prediction (this cell's half of the oracle ledger).
-        FlatU64Map<Tick> outstanding;
+        /// Pages with an un-demanded prediction of this cell.
+        std::uint64_t outstanding = 0;
     };
 
     /**
      * Shared per-page oracle state: which cells have a pending
-     * prediction (so a demand read probes only flagged cells) and
-     * whether the page already counted toward demandPages.
+     * prediction (so a demand read probes only flagged cells), where
+     * their modeled arrival ticks live, and whether the page already
+     * counted toward demandPages.
      */
     struct PageOracle
     {
         std::uint32_t pendingMask = 0;
+        /// Block of ready_ holding the arrival ticks, one per cell;
+        /// owned by the page while pendingMask != 0.
+        std::uint32_t block = 0;
         bool seen = false;
     };
 
     void dispatch(const trace::ReplayRecord &r);
     void oracleRequest(unsigned cell, Pid pid, Vpn vpn, Tick now);
-    void oracleDemand(Pid pid, Vpn vpn, Tick now);
+    void oracleDemand(PageOracle &po, Tick now);
+    /** The oracle_ slot of @p key, appended on its first sight. */
+    std::uint32_t pageIndex(std::uint64_t key);
+    /** A ready_ block for a page whose first prediction arrived. */
+    std::uint32_t takeBlock();
 
     sim::EventQueue eq_;
     /// Traffic accounting only — no frame is ever allocated from it.
@@ -212,13 +224,22 @@ class ReplayEngine
     std::uint64_t demandPages_ = 0;
     Tick lastTick_;
 
-    /// ppn -> pageKey(pid, vpn) shadow of the replayed mappings; the
-    /// oracle uses it (not the lazily written-back Rpt) to resolve
-    /// demand reads.
-    FlatU64Map<std::uint64_t> shadow_;
-    /// pageKey -> shared oracle state (one probe per demand read
-    /// regardless of cell count).
-    FlatU64Map<PageOracle> pages_;
+    /// ppn -> oracle_ slot of the page mapped there: a shadow of the
+    /// replayed mappings the oracle uses (not the lazily written-back
+    /// Rpt) to resolve demand reads.
+    FlatU64Map<std::uint32_t> shadow_;
+    /// pageKey -> oracle_ slot, for trainer requests.
+    FlatU64Map<std::uint32_t> pages_;
+    /// Shared per-page oracle state in first-sight order: a demand
+    /// read costs one shadow_ probe and one indexed load, and pages
+    /// mapped or predicted together sit side by side.
+    std::vector<PageOracle> oracle_;
+    /// The cell-major ledger: cells() modeled arrival ticks per block,
+    /// one block per page with a pending prediction. A tick is
+    /// meaningful only while its cell's pendingMask bit is set.
+    std::vector<Tick> ready_;
+    /// Blocks released by demand reads, reused before ready_ grows.
+    std::vector<std::uint32_t> freeBlocks_;
     bool ran_ = false;
 };
 

@@ -8,6 +8,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -18,14 +19,17 @@ namespace hopp::trace
 {
 
 /**
- * Fixed-capacity single-producer single-consumer ring.
+ * Fixed-capacity single-producer single-consumer ring. The capacity is
+ * the modeled one (when it is reached, pushes drop); the host storage
+ * only follows the occupancy high-water mark, doubling when a push
+ * finds it full, so a ring that software drains promptly stays as
+ * small as its peak occupancy however large its modeled capacity.
  */
 template <typename T>
 class RingBuffer
 {
   public:
-    explicit RingBuffer(std::size_t capacity)
-        : buf_(capacity), capacity_(capacity)
+    explicit RingBuffer(std::size_t capacity) : capacity_(capacity)
     {
         hopp_assert(capacity > 0, "ring needs capacity");
     }
@@ -38,7 +42,9 @@ class RingBuffer
             ++dropped_;
             return false;
         }
-        buf_[(head_ + size_) % capacity_] = item;
+        if (size_ == buf_.size())
+            grow();
+        buf_[wrap(head_ + size_)] = item;
         ++size_;
         ++pushed_;
         return true;
@@ -51,7 +57,7 @@ class RingBuffer
         if (size_ == 0)
             return std::nullopt;
         T item = buf_[head_];
-        head_ = (head_ + 1) % capacity_;
+        head_ = wrap(head_ + 1);
         --size_;
         return item;
     }
@@ -80,6 +86,31 @@ class RingBuffer
     }
 
   private:
+    static constexpr std::size_t minStorage = 16;
+
+    /** @p i reduced into the storage; @p i < 2 * storage. */
+    std::size_t
+    wrap(std::size_t i) const
+    {
+        return i >= buf_.size() ? i - buf_.size() : i;
+    }
+
+    /** Double the storage (up to the capacity), oldest record first. */
+    void
+    grow()
+    {
+        std::vector<T> bigger;
+        // Geometric growth: the storage reaches the occupancy
+        // high-water mark in O(log capacity) reallocations, then
+        // never reallocates. hopp-analyze: allow(hotpath-alloc)
+        bigger.resize(
+            std::min(capacity_, std::max(minStorage, 2 * buf_.size())));
+        for (std::size_t k = 0; k < size_; ++k)
+            bigger[k] = buf_[wrap(head_ + k)];
+        buf_.swap(bigger);
+        head_ = 0;
+    }
+
     std::vector<T> buf_;
     std::size_t capacity_;
     std::size_t head_ = 0;

@@ -64,6 +64,35 @@ replayed(const std::string &trace_path, core::HoppConfig hopp = {})
     return engine.mcStatsJson();
 }
 
+/**
+ * A fan-out grid shaped like a real policy sweep: every tier mask x
+ * Markov on/off x huge-batch on/off. The Markov cells split across
+ * two MarkovConfigs and every cell across two oracle arrival delays,
+ * so the grid has both shared and distinct correlation tables, STT
+ * groups whose cells read one tier memo under different masks, and
+ * ledger blocks holding ticks of different windows side by side.
+ */
+std::vector<ReplayConfig>
+sweepGrid()
+{
+    std::vector<ReplayConfig> cells;
+    for (unsigned mask = 1; mask <= core::tiers::all; ++mask) {
+        for (unsigned mkv : {0u, core::tiers::markov}) {
+            for (bool batch : {false, true}) {
+                ReplayConfig cfg;
+                cfg.hopp.tierMask = mask | mkv;
+                cfg.hopp.batch.enabled = batch;
+                cfg.hopp.markov.minCount =
+                    static_cast<std::uint16_t>(2 + (mask & 1));
+                if (cells.size() % 3 == 0)
+                    cfg.arrivalDelay = 2'000;
+                cells.push_back(cfg);
+            }
+        }
+    }
+    return cells;
+}
+
 } // namespace
 
 TEST(Replay, ReproducesLiveMcStatsByteForByte)
@@ -94,16 +123,25 @@ TEST(Replay, OracleLedgerIsConsistent)
     std::string path = tmpPath("oracle");
     recordLive("kmeans-omp", SystemKind::Hopp, path);
 
-    trace::TraceReader reader;
-    ASSERT_EQ(reader.open(path), trace::TraceIoStatus::Ok);
-    ReplayEngine engine;
-    ASSERT_EQ(engine.run(reader), trace::TraceIoStatus::Ok);
-    const ReplayResult &r = engine.result();
-    // Every request is eventually classified, and nothing else is.
-    EXPECT_EQ(r.used + r.late + r.unused, r.requested);
-    EXPECT_LE(r.coveredPages, r.demandPages);
-    EXPECT_GE(engine.result().records,
-              r.mcAccesses + r.pteEvents);
+    // The solo engine and every cell of a fan-out keep their own
+    // books: each must classify every request exactly once.
+    std::vector<ReplayConfig> grid = sweepGrid();
+    for (std::size_t width : {std::size_t{1}, grid.size()}) {
+        trace::TraceReader reader;
+        ASSERT_EQ(reader.open(path), trace::TraceIoStatus::Ok);
+        ReplayEngine engine(std::vector<ReplayConfig>(
+            grid.begin(), grid.begin() + static_cast<long>(width)));
+        ASSERT_EQ(engine.run(reader), trace::TraceIoStatus::Ok);
+        for (std::size_t i = 0; i < engine.cells(); ++i) {
+            const ReplayResult &r = engine.result(i);
+            // Every request is eventually classified, and nothing
+            // else is.
+            EXPECT_EQ(r.used + r.late + r.unused, r.requested)
+                << "cell " << i;
+            EXPECT_LE(r.coveredPages, r.demandPages) << "cell " << i;
+            EXPECT_GE(r.records, r.mcAccesses + r.pteEvents);
+        }
+    }
     std::remove(path.c_str());
 }
 
@@ -111,24 +149,24 @@ TEST(Replay, FanoutCellsMatchSoloReplays)
 {
     // One shared-frontend pass over the trace must give every policy
     // cell the exact stats and oracle ledger a solo replay of that
-    // cell produces — the fan-out is an optimization, not a model.
+    // cell produces — the fan-out, and the Markov tables, tier
+    // results and ledger blocks its cells share, are an
+    // optimization, not a model.
     std::string path = tmpPath("fanout");
-    recordLive("kmeans-omp", SystemKind::Hopp, path);
+    core::HoppConfig hopp;
+    hopp.tierMask = core::tiers::all | core::tiers::markov;
+    recordLive("graphx-pr", SystemKind::HoppOnly, path, hopp);
 
-    std::vector<ReplayConfig> cells;
-    for (unsigned mask :
-         {core::tiers::all, core::tiers::ssp, core::tiers::lsp,
-          core::tiers::all | core::tiers::markov}) {
-        ReplayConfig cfg;
-        cfg.hopp.tierMask = mask;
-        cells.push_back(cfg);
-    }
+    std::vector<ReplayConfig> cells = sweepGrid();
+    ASSERT_LE(cells.size(), maxReplayCells);
     trace::TraceReader reader;
     ASSERT_EQ(reader.open(path), trace::TraceIoStatus::Ok);
     ReplayEngine fanout(cells);
     ASSERT_EQ(fanout.run(reader), trace::TraceIoStatus::Ok);
     ASSERT_EQ(fanout.cells(), cells.size());
 
+    std::uint64_t markov_predictions = 0;
+    std::uint64_t batches = 0;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         trace::TraceReader solo_reader;
         ASSERT_EQ(solo_reader.open(path), trace::TraceIoStatus::Ok);
@@ -138,7 +176,16 @@ TEST(Replay, FanoutCellsMatchSoloReplays)
             << "cell " << i;
         EXPECT_EQ(fanout.oracleJson(i), solo.oracleJson())
             << "cell " << i;
+        const core::TrainerStats &tr =
+            fanout.pipeline().trainer(i).stats();
+        markov_predictions +=
+            tr.predictions[static_cast<unsigned>(core::Tier::Mkv)];
+        batches += tr.batchesIssued;
     }
+    // The grid must exercise what it claims to: the shared tables
+    // predict, and the huge-batch path issues.
+    EXPECT_GT(markov_predictions, 0u);
+    EXPECT_GT(batches, 0u);
     std::remove(path.c_str());
 }
 

@@ -9,7 +9,9 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <deque>
 
+#include "common/random.hh"
 #include "trace/hmtt.hh"
 #include "trace/trace_io.hh"
 
@@ -74,6 +76,45 @@ TEST(RingBufferT, WrapsAround)
     EXPECT_EQ(*ring.pop(), 3);
     EXPECT_EQ(*ring.pop(), 4);
     EXPECT_EQ(ring.pushed(), 4u);
+}
+
+// The storage grows with the occupancy, often while the queue wraps;
+// a deque bounded by the same capacity must agree on every push
+// outcome, every popped value and the counters.
+TEST(RingBufferT, GrowingStorageMatchesBoundedQueue)
+{
+    for (std::size_t cap : {1u, 3u, 16u, 17u, 100u, 1000u}) {
+        RingBuffer<int> ring(cap);
+        std::deque<int> model;
+        std::uint64_t drops = 0;
+        Pcg32 rng(cap);
+        int next = 0;
+        for (int step = 0; step < 20000; ++step) {
+            // Phases of mostly-push and mostly-pop fill and drain the
+            // ring repeatedly at shifting head positions.
+            bool filling = (step / 500) % 2 == 0;
+            if (rng.below(4) < (filling ? 3u : 1u)) {
+                bool fits = model.size() < cap;
+                ASSERT_EQ(ring.push(next), fits) << "cap " << cap;
+                if (fits)
+                    model.push_back(next);
+                else
+                    ++drops;
+                ++next;
+            } else {
+                auto v = ring.pop();
+                ASSERT_EQ(v.has_value(), !model.empty()) << "cap " << cap;
+                if (v) {
+                    ASSERT_EQ(*v, model.front()) << "cap " << cap;
+                    model.pop_front();
+                }
+            }
+            ASSERT_EQ(ring.size(), model.size());
+        }
+        EXPECT_EQ(ring.dropped(), drops);
+        EXPECT_EQ(ring.pushed(), static_cast<std::uint64_t>(next) - drops);
+        EXPECT_EQ(ring.capacity(), cap);
+    }
 }
 
 TEST(HmttTap, RecordsMcTraffic)
