@@ -4,6 +4,7 @@
 #include "check/invariants.hh"
 
 #include <algorithm>
+#include <bit>
 #include <list>
 #include <unordered_map>
 #include <unordered_set>
@@ -102,6 +103,14 @@ class Access
                 std::uint64_t tag = c.tags_[s * c.ways_ + w];
                 ++valid;
                 tags.push_back(tag);
+                if (c.fps_[s * c.ways_ + w] != c.fingerprint(tag)) {
+                    r.fail(what, formatMessage(
+                                     "set %zu way %zu fingerprint %02x "
+                                     "is stale for tag %llx",
+                                     s, w,
+                                     unsigned{c.fps_[s * c.ways_ + w]},
+                                     (unsigned long long)tag));
+                }
                 if ((tag & (c.sets_ - 1)) != s) {
                     r.fail(what, formatMessage(
                                      "tag %llx stored in set %zu but "
@@ -194,6 +203,21 @@ class Access
     }
 
     static void
+    tamperLlcFingerprint(mem::Llc &llc)
+    {
+        auto &tags = llc.tags_;
+        for (std::size_t s = 0; s < tags.sets_; ++s) {
+            if (std::uint64_t m = tags.valid_[s]) {
+                // A tag rewritten without its fingerprint: the SWAR
+                // scan would miss the line.
+                tags.fps_[s * tags.ways_ + std::countr_zero(m)] ^= 1;
+                return;
+            }
+        }
+        hopp_panic("no valid LLC line to corrupt");
+    }
+
+    static void
     tamperLlcRecency(mem::Llc &llc)
     {
         auto &tags = llc.tags_;
@@ -243,11 +267,33 @@ class Access
     static void
     auditStt(const core::Stt &stt, Report &r)
     {
-        std::size_t valid = 0;
-        for (const auto &e : stt.table_) {
-            if (!e.valid)
-                continue;
-            ++valid;
+        const std::size_t valid = stt.live_;
+        if (valid > stt.table_.size()) {
+            r.fail("stt", formatMessage("%zu live streams exceed the "
+                                        "%zu-entry table",
+                                        valid, stt.table_.size()));
+            return;
+        }
+        for (std::size_t i = valid; i < stt.table_.size(); ++i) {
+            if (stt.keys_[i].lastUse != 0 ||
+                !stt.table_[i].vpns.empty()) {
+                r.fail("stt", formatMessage(
+                                  "entry %zu past the %zu-entry live "
+                                  "prefix is in use",
+                                  i, valid));
+            }
+        }
+        for (std::size_t i = 0; i < valid; ++i) {
+            const auto &e = stt.table_[i];
+            const auto &k = stt.keys_[i];
+            if (k.lastUse == 0 || k.lastUse > stt.clock_) {
+                r.fail("stt", formatMessage(
+                                  "stream %llu key recency %llu outside "
+                                  "[1, clock %llu]",
+                                  (unsigned long long)e.id,
+                                  (unsigned long long)k.lastUse,
+                                  (unsigned long long)stt.clock_));
+            }
             if (e.vpns.empty() || e.vpns.size() > stt.cfg_.historyLen) {
                 r.fail("stt", formatMessage(
                                   "stream %llu history size %zu out of "
@@ -270,19 +316,14 @@ class Access
                                   (unsigned long long)e.length,
                                   e.vpns.size()));
             }
-            if (!e.vpns.empty() && e.lastVpn != e.vpns.back()) {
+            if (!e.vpns.empty() && k.lastVpn != e.vpns.back()) {
                 r.fail("stt", formatMessage(
-                                  "stream %llu cached last VPN "
-                                  "diverges from its history",
+                                  "stream %llu key last VPN diverges "
+                                  "from its history",
                                   (unsigned long long)e.id));
             }
         }
         const core::SttStats &s = stt.stats();
-        if (valid > stt.config().entries) {
-            r.fail("stt", formatMessage("%zu live streams exceed the "
-                                        "%zu-entry table",
-                                        valid, stt.config().entries));
-        }
         if (s.seeded < s.evicted ||
             s.seeded - s.evicted != valid) {
             r.fail("stt", formatMessage(
@@ -597,6 +638,12 @@ void
 leakLlcOccupancy(mem::Llc &llc)
 {
     Access::tamperLlc(llc);
+}
+
+void
+staleLlcFingerprint(mem::Llc &llc)
+{
+    Access::tamperLlcFingerprint(llc);
 }
 
 void

@@ -102,8 +102,8 @@ void validateEventQueue(const sim::EventQueue &eq, EventQueueWatch &w,
 void validateVms(const vm::Vms &vms, Report &r);
 
 /**
- * LLC invariants: tag-array occupancy accounting, set placement and
- * the shape of every set's recency list.
+ * LLC invariants: tag-array occupancy accounting, set placement,
+ * per-way tag fingerprints and the shape of every set's recency list.
  */
 void validateLlc(const mem::Llc &llc, Report &r);
 
@@ -127,6 +127,9 @@ void pushEventInPast(sim::EventQueue &eq, Tick when);
 
 /** Invalidate one LLC line without fixing occupancy accounting. */
 void leakLlcOccupancy(mem::Llc &llc);
+
+/** Flip the fingerprint byte of one valid LLC line. */
+void staleLlcFingerprint(mem::Llc &llc);
 
 /** Break one prev link of set 0's LLC recency list. */
 void breakLlcRecencyLink(mem::Llc &llc);

@@ -10,8 +10,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/flat_map.hh"
 #include "hopp/algorithms.hh"
 #include "hopp/policy.hh"
 #include "hopp/prefetch_sink.hh"
@@ -114,34 +114,35 @@ class ExecEngine : public PrefetchSink
     void
     onCompleted(Pid pid, Vpn vpn)
     {
-        auto it = outstanding_.find(vm::pageKey(pid, vpn));
-        if (it == outstanding_.end())
+        const Meta *m = outstanding_.find(vm::pageKey(pid, vpn));
+        if (!m)
             return;
-        ++tierStats_[static_cast<unsigned>(it->second.tier)].completed;
+        ++tierStats_[static_cast<unsigned>(m->tier)].completed;
     }
 
     /** First touch of an injected page: feed timeliness to policy. */
     void
     onHit(Pid pid, Vpn vpn, Tick ready_at, Tick hit_at)
     {
-        auto it = outstanding_.find(vm::pageKey(pid, vpn));
-        if (it == outstanding_.end())
+        const std::uint64_t key = vm::pageKey(pid, vpn);
+        const Meta *m = outstanding_.find(key);
+        if (!m)
             return;
-        ++tierStats_[static_cast<unsigned>(it->second.tier)].hits;
-        policy_.feedback(it->second.streamId, ready_at, hit_at);
-        outstanding_.erase(it);
+        ++tierStats_[static_cast<unsigned>(m->tier)].hits;
+        policy_.feedback(m->streamId, ready_at, hit_at);
+        outstanding_.erase(key);
     }
 
     /** An injected page was reclaimed unused. */
     void
     onEvicted(Pid pid, Vpn vpn)
     {
-        auto it = outstanding_.find(vm::pageKey(pid, vpn));
-        if (it == outstanding_.end())
+        const std::uint64_t key = vm::pageKey(pid, vpn);
+        const Meta *m = outstanding_.find(key);
+        if (!m)
             return;
-        ++tierStats_[static_cast<unsigned>(it->second.tier)]
-              .evictedUnused;
-        outstanding_.erase(it);
+        ++tierStats_[static_cast<unsigned>(m->tier)].evictedUnused;
+        outstanding_.erase(key);
     }
 
     /** Stats of one tier. */
@@ -174,13 +175,13 @@ class ExecEngine : public PrefetchSink
   private:
     struct Meta
     {
-        std::uint64_t streamId;
-        Tier tier;
+        std::uint64_t streamId = 0;
+        Tier tier{};
     };
 
     vm::Vms &vms_;
     PolicyEngine &policy_;
-    std::unordered_map<std::uint64_t, Meta> outstanding_;
+    FlatU64Map<Meta> outstanding_;
     TierStats tierStats_[tierCount];
     std::uint64_t deduped_ = 0;
     std::uint64_t batches_ = 0;

@@ -68,12 +68,11 @@ HotPagePipeline::markovTableFor(const MarkovConfig &cfg)
 void
 HotPagePipeline::MarkovGroup::train(const HotPage &hp)
 {
-    auto [it, fresh] = lastHot.try_emplace(hp.pid, hp.vpn);
-    if (!fresh) {
-        if (it->second != hp.vpn)
-            table->train(hp.pid, it->second, hp.vpn);
-        it->second = hp.vpn;
-    }
+    const std::size_t known = lastHot.size();
+    Vpn &last = lastHot[hp.pid.raw()]; // hopp-lint: allow(raw) map key
+    if (lastHot.size() == known && last != hp.vpn)
+        table->train(hp.pid, last, hp.vpn);
+    last = hp.vpn;
 }
 
 void

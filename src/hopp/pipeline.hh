@@ -20,7 +20,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/flat_map.hh"
@@ -281,7 +280,8 @@ class HotPagePipeline
     {
         MarkovConfig cfg;
         std::unique_ptr<MarkovTable> table;
-        std::unordered_map<Pid, Vpn> lastHot;
+        /// Keyed by the raw pid.
+        FlatU64Map<Vpn> lastHot;
 
         /** Learn the transition into @p hp of its pid's sequence. */
         void train(const HotPage &hp);

@@ -15,8 +15,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/flat_map.hh"
 #include "common/types.hh"
 
 namespace hopp::core
@@ -147,9 +147,8 @@ class PolicyEngine
     double
     offsetOf(std::uint64_t stream_id) const
     {
-        auto it = offset_.find(stream_id);
-        return it == offset_.end() ? cfg_.offsetInit
-                                   : it->second.offset;
+        const State *s = offset_.find(stream_id);
+        return s ? s->offset : cfg_.offsetInit;
     }
 
     /** Counters. */
@@ -164,7 +163,7 @@ class PolicyEngine
   private:
     struct State
     {
-        double offset;
+        double offset = 0.0;
         double tSum = 0.0;
         unsigned tCount = 0;
     };
@@ -175,14 +174,15 @@ class PolicyEngine
         // Bound the table: streams are short-lived STT generations.
         if (offset_.size() > 8192)
             offset_.clear();
-        auto [it, inserted] =
-            offset_.try_emplace(stream_id, State{cfg_.offsetInit});
-        (void)inserted;
-        return it->second;
+        const std::size_t known = offset_.size();
+        State &s = offset_[stream_id];
+        if (offset_.size() != known)
+            s.offset = cfg_.offsetInit;
+        return s;
     }
 
     PolicyConfig cfg_;
-    std::unordered_map<std::uint64_t, State> offset_;
+    FlatU64Map<State> offset_;
     PolicyStats stats_;
 };
 

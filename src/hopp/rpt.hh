@@ -13,8 +13,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 
+#include "common/flat_map.hh"
 #include "common/types.hh"
 #include "mem/dram.hh"
 #include "mem/set_assoc.hh"
@@ -46,20 +46,24 @@ class Rpt
     void
     store(Ppn ppn, const RptEntry &e)
     {
-        entries_[ppn] = e;
+        entries_[ppn.raw()] = e; // hopp-lint: allow(raw) map key
     }
 
     /** Remove an entry. */
-    void erase(Ppn ppn) { entries_.erase(ppn); }
+    void
+    erase(Ppn ppn)
+    {
+        entries_.erase(ppn.raw()); // hopp-lint: allow(raw) map key
+    }
 
     /** Read an entry. */
     std::optional<RptEntry>
     load(Ppn ppn) const
     {
-        auto it = entries_.find(ppn);
-        if (it == entries_.end())
+        const RptEntry *e = entries_.find(ppn.raw()); // hopp-lint: allow(raw) map key
+        if (!e)
             return std::nullopt;
-        return it->second;
+        return *e;
     }
 
     /** Live entries (= mapped frames). */
@@ -69,7 +73,9 @@ class Rpt
     std::uint64_t bytes() const { return entries_.size() * 8; }
 
   private:
-    std::unordered_map<Ppn, RptEntry> entries_;
+    /// Keyed by the raw PPN; open-addressed, so a write-back is a
+    /// flat probe rather than a node allocation.
+    FlatU64Map<RptEntry> entries_;
 };
 
 /** RPT cache geometry. */

@@ -120,31 +120,42 @@ class Stt
     const SttConfig &config() const { return cfg_; }
 
     /** Number of live stream entries. */
-    std::size_t liveStreams() const;
+    std::size_t liveStreams() const { return live_; }
 
   private:
     friend class hopp::check::Access;
 
+    /** An entry's stream history. */
     struct Entry
     {
-        bool valid = false;
-        Pid pid;
         std::uint64_t id = 0;
-        std::uint64_t lastUse = 0;
         std::uint64_t length = 0; //!< pages appended over the lifetime
-        /// Cached vpns.back(): the clustering scan in feed() reads
-        /// every entry's last VPN, and an inline copy keeps that scan
-        /// inside the contiguous entry array instead of chasing each
-        /// entry's history vector.
-        Vpn lastVpn;
         std::vector<Vpn> vpns;
         std::vector<std::int64_t> strides;
     };
 
-    std::optional<StreamView> append(Entry &e, Vpn vpn);
+    /**
+     * The fields the clustering scan in feed() reads, kept apart from
+     * the histories in one compact array (24 B per entry), so the
+     * scan streams through a few cache lines instead of one fat entry
+     * per stream.
+     */
+    struct Key
+    {
+        Vpn lastVpn;               //!< the entry's vpns.back()
+        std::uint64_t lastUse = 0; //!< recency clock; 0 = invalid entry
+        Pid pid;
+    };
+
+    std::optional<StreamView> append(std::size_t i, Vpn vpn);
 
     SttConfig cfg_;
     std::vector<Entry> table_;
+    std::vector<Key> keys_; //!< keys_[i] describes table_[i]
+    /// Entries [0, live_) are valid, the rest invalid: seeding takes
+    /// the first invalid entry while one exists, and no entry is ever
+    /// invalidated, so the valid entries always form a prefix.
+    std::size_t live_ = 0;
     std::uint64_t clock_ = 0;
     std::uint64_t nextId_ = 1;
     SttStats stats_;

@@ -9,8 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/flat_map.hh"
 #include "common/logging.hh"
 #include "hopp/algorithms.hh"
 #include "hopp/hot_page.hh"
@@ -206,7 +206,7 @@ class Trainer
     unsigned tierMask_;
     BatchConfig batch_;
     MarkovTable *markov_;
-    std::unordered_map<std::uint64_t, std::uint64_t> batchCountdown_;
+    FlatU64Map<std::uint64_t> batchCountdown_;
     TrainerStats stats_;
 };
 

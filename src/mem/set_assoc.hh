@@ -8,15 +8,18 @@
  * frame-indexed MC tables); the set index is the low bits of the key,
  * exactly as the paper indexes the HPD table with the low PPN bits.
  *
- * Storage is structure-of-arrays: one flat tag array, one valid
- * bitmask word per set, a separate payload array, and per set an
- * intrusive doubly linked recency list over its ways (one-byte
- * prev/next links per way, one-byte head/tail per set). A way scan
- * therefore touches two cache lines of tags (16 ways x 8 B) instead of
- * walking {valid, tag, age, payload} records, and LRU bookkeeping is
- * O(1): a hit unlinks its way and pushes it to the head, a miss in a
- * full set evicts the tail. The tag probe sits behind every simulated
- * LLC access and every LLC miss probes the HPD again, so this is the
+ * Storage is structure-of-arrays: one flat tag array, one byte of tag
+ * fingerprint per way, one valid bitmask word per set, a separate
+ * payload array, and per set an intrusive doubly linked recency list
+ * over its ways (one-byte prev/next links per way, one-byte head/tail
+ * per set). A way scan compares the fingerprints eight ways per 64-bit
+ * word (SWAR) and reads a full tag only for a valid way whose
+ * fingerprint matches, so a scan that misses reads no tag and one that
+ * hits reads one tag, instead of two cache lines of them (16 ways x
+ * 8 B). LRU bookkeeping is O(1): a hit unlinks its way and pushes it
+ * to the head, a miss in a full set evicts the tail. The tag probe
+ * sits behind every simulated LLC access, every LLC miss probes the
+ * HPD again, and every replayed record probes the HPD, so this is the
  * single largest host-side cost of a simulated memory access (see
  * DESIGN.md §14).
  */
@@ -26,6 +29,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -63,7 +67,8 @@ class SetAssocCache
      */
     SetAssocCache(std::size_t sets, std::size_t ways)
         : sets_(sets), setMask_(sets - 1), ways_(ways),
-          tags_(sets * ways, 0), valid_(sets, 0), values_(sets * ways),
+          tags_(sets * ways, 0), fps_(sets * ways + fpPad, 0),
+          valid_(sets, 0), values_(sets * ways),
           prev_(sets * ways), next_(sets * ways), head_(sets, 0),
           tail_(sets, static_cast<std::uint8_t>(ways - 1))
     {
@@ -96,6 +101,18 @@ class SetAssocCache
 
     /** Entries currently valid. */
     std::size_t size() const { return live_; }
+
+    /**
+     * The 8-bit fingerprint stored beside a way's tag: the top byte of
+     * a multiplicative hash, so every bit of the tag feeds it, not
+     * only the set-index bits that all ways of one set share.
+     */
+    static constexpr std::uint8_t
+    fingerprint(std::uint64_t raw)
+    {
+        return static_cast<std::uint8_t>(
+            (raw * 0x9e3779b97f4a7c15ull) >> 56);
+    }
 
     /**
      * Look up a tag and promote it to MRU on hit.
@@ -179,22 +196,20 @@ class SetAssocCache
         const std::uint64_t raw = rawKey(tag);
         const std::size_t set = setIndex(raw);
         const std::size_t base = set * ways_;
-        const std::uint64_t vmask = valid_[set];
-        const std::uint64_t *tags = tags_.data() + base;
         // MRU first: the HPD sees every line of a streamed page in a
         // row, so 63 of 64 probes hit the head, which needs no
-        // promotion.
+        // promotion. Comparing the head's tag directly is cheaper on
+        // that hit than a fingerprint guard in front of it.
         const std::size_t h = head_[set];
-        if (tags[h] == raw && (vmask >> h) & 1)
+        if (tags_[base + h] == raw && (valid_[set] >> h) & 1)
             return {&values_[base + h], true, false};
-        for (std::size_t w = 0; w < ways_; ++w) {
-            if (tags[w] == raw && (vmask >> w) & 1) {
-                promote(set, w);
-                return {&values_[base + w], true, false};
-            }
+        std::size_t w = findWay(set, raw);
+        if (w != npos) {
+            promote(set, w);
+            return {&values_[base + w], true, false};
         }
         bool evicted;
-        const std::size_t w = victimWay(set, &evicted);
+        w = victimWay(set, &evicted);
         fill(set, w, raw, std::move(missValue));
         return {&values_[base + w], false, evicted};
     }
@@ -247,6 +262,33 @@ class SetAssocCache
 
     static constexpr std::size_t npos = ~std::size_t{0};
 
+    /// Ways compared per fingerprint word, and the slack after the
+    /// last set that lets every word load stay inside fps_.
+    static constexpr std::size_t fpLanes = 8;
+    static constexpr std::size_t fpPad = fpLanes - 1;
+    static constexpr std::uint64_t lowBytes = 0x0101010101010101ull;
+    static constexpr std::uint64_t lowSeven = 0x7f7f7f7f7f7f7f7full;
+
+    // Byte k of a loaded word must be way w + k.
+    static_assert(std::endian::native == std::endian::little,
+                  "fingerprint lanes assume a little-endian host");
+
+    /**
+     * Bit k set iff byte k of @p word equals the byte broadcast in
+     * @p pattern. Exact per byte: the add never carries across a
+     * byte, so no lane can borrow from its neighbour.
+     */
+    static std::uint64_t
+    matchLanes(std::uint64_t word, std::uint64_t pattern)
+    {
+        const std::uint64_t x = word ^ pattern;
+        // High bit of each byte set iff that byte of x is zero.
+        const std::uint64_t zero =
+            ~(((x & lowSeven) + lowSeven) | x | lowSeven);
+        // Gather the eight high bits into the low byte.
+        return ((zero >> 7) * 0x0102040810204080ull) >> 56;
+    }
+
     static constexpr std::uint64_t
     rawKey(Key tag)
     {
@@ -266,15 +308,31 @@ class SetAssocCache
         return static_cast<std::size_t>(raw & setMask_);
     }
 
-    /** Way of @p set holding a valid @p raw, or npos. */
+    /**
+     * Way of @p set holding a valid @p raw, or npos. One code path for
+     * every associativity: each word holds the fingerprints of eight
+     * consecutive ways (a set narrower than a word loads its
+     * neighbour's bytes or the tail padding, which the valid mask
+     * drops), and only a valid way whose fingerprint matches has its
+     * tag read.
+     */
     std::size_t
     findWay(std::size_t set, std::uint64_t raw) const
     {
+        const std::size_t base = set * ways_;
         const std::uint64_t vmask = valid_[set];
-        const std::uint64_t *tags = tags_.data() + set * ways_;
-        for (std::size_t w = 0; w < ways_; ++w) {
-            if (tags[w] == raw && (vmask >> w) & 1)
-                return w;
+        const std::uint64_t pattern = lowBytes * fingerprint(raw);
+        for (std::size_t w = 0; w < ways_; w += fpLanes) {
+            std::uint64_t word;
+            std::memcpy(&word, fps_.data() + base + w, sizeof(word));
+            for (std::uint64_t cand = matchLanes(word, pattern) &
+                                      (vmask >> w);
+                 cand != 0; cand &= cand - 1) {
+                const std::size_t way =
+                    w + static_cast<std::size_t>(std::countr_zero(cand));
+                if (tags_[base + way] == raw)
+                    return way;
+            }
         }
         return npos;
     }
@@ -308,6 +366,7 @@ class SetAssocCache
     {
         const std::size_t idx = set * ways_ + way;
         tags_[idx] = raw;
+        fps_[idx] = fingerprint(raw);
         values_[idx] = std::move(value);
         promote(set, way);
     }
@@ -341,6 +400,9 @@ class SetAssocCache
     std::uint64_t setMask_; //!< sets_ - 1, precomputed for setIndex()
     std::size_t ways_;
     std::vector<std::uint64_t> tags_;  //!< sets x ways raw keys
+    /// sets x ways fingerprint(tag), plus fpPad bytes of slack; a
+    /// byte is meaningful only while its way's valid bit is set.
+    std::vector<std::uint8_t> fps_;
     std::vector<std::uint64_t> valid_; //!< one bit per way, per set
     std::vector<Value> values_;        //!< sets x ways payloads
     std::vector<std::uint8_t> prev_;   //!< sets x ways: toward head

@@ -97,7 +97,7 @@ ReplayEngine::ReplayEngine(const std::vector<ReplayConfig> &cells)
 }
 
 std::uint32_t
-ReplayEngine::pageIndex(std::uint64_t key)
+ReplayEngine::probePage(std::uint64_t key)
 {
     const std::size_t known = pages_.size();
     std::uint32_t &slot = pages_[key];
@@ -108,6 +108,20 @@ ReplayEngine::pageIndex(std::uint64_t key)
         oracle_.emplace_back();
     }
     return slot;
+}
+
+std::uint32_t
+ReplayEngine::pageIndex(std::uint64_t key)
+{
+    // pages_ only ever grows and a page keeps its slot for the whole
+    // run, so a memo hit is the answer the probe would give. The hit
+    // path is kept apart from the probe so that it stays small enough
+    // to inline into the per-cell request.
+    PageMemo &memo =
+        pageMemo_[(key ^ (key >> 48)) & (pageMemoSlots - 1)];
+    if (memo.key != key || memo.slot == noSlot)
+        memo = PageMemo{key, probePage(key)};
+    return memo.slot;
 }
 
 std::uint32_t
@@ -192,14 +206,20 @@ ReplayEngine::dispatch(const trace::ReplayRecord &r)
       case trace::ReplayKind::Mc: {
         ++mcAccesses_;
         if (!r.isWrite) {
-            const std::uint32_t *page = shadow_.find(pageOf(r.pa).raw()); // hopp-lint: allow(raw) map key
-            if (page)
-                oracleDemand(oracle_[*page], r.tick);
+            const Ppn ppn = pageOf(r.pa);
+            if (ppn != demandPpn_) {
+                const std::uint32_t *page = shadow_.find(ppn.raw()); // hopp-lint: allow(raw) map key
+                demandPpn_ = ppn;
+                demandSlot_ = page ? *page : noSlot;
+            }
+            if (demandSlot_ != noSlot)
+                oracleDemand(oracle_[demandSlot_], r.tick);
         }
         pipeline_.onMcAccess(r.pa, r.isWrite, r.tick);
         break;
       }
       case trace::ReplayKind::PteInit:
+        demandPpn_ = noPpn;
         // The recorder's initial page-table snapshot: build the RPT
         // directly, exactly as HoppSystem::start() does — NOT through
         // onPteSet, which would inflate RPT-cache update counters the
@@ -212,12 +232,14 @@ ReplayEngine::dispatch(const trace::ReplayRecord &r)
         shadow_[r.ppn.raw()] = pageIndex(vm::pageKey(r.pid, r.vpn)); // hopp-lint: allow(raw) map key
         break;
       case trace::ReplayKind::PteSet:
+        demandPpn_ = noPpn;
         ++pteEvents_;
         pipeline_.onPteSet(r.pid, r.vpn, r.ppn, r.shared, r.huge,
                            r.tick);
         shadow_[r.ppn.raw()] = pageIndex(vm::pageKey(r.pid, r.vpn)); // hopp-lint: allow(raw) map key
         break;
       case trace::ReplayKind::PteClear:
+        demandPpn_ = noPpn;
         ++pteEvents_;
         pipeline_.onPteClear(r.pid, r.vpn, r.ppn, r.tick);
         shadow_.erase(r.ppn.raw()); // hopp-lint: allow(raw) map key

@@ -26,11 +26,15 @@
  * Cells only pay per hot page and per prediction, and even there the
  * work that does not depend on the cell is shared: the STT feed and
  * tier results once per distinct STT config, the correlation table
- * once per distinct Markov config (HotPagePipeline), and one oracle
- * page probe per request or demand, whose per-cell arrival ticks sit
- * side by side in one ledger block. This is what makes a
- * software-policy sweep run at memory speed rather than at simulation
- * speed.
+ * once per distinct Markov config (HotPagePipeline), and the oracle's
+ * page lookups, whose per-cell arrival ticks sit side by side in one
+ * ledger block. Each lookup is paid once per distinct page or frame,
+ * not once per cell or per record: a direct-mapped memo in front of
+ * the page table answers every cell's request for a page after the
+ * first, and a run of demand reads of one frame shares one shadow
+ * probe (DESIGN.md §15 gives the exactness argument for each). This
+ * is what makes a software-policy sweep run at memory speed rather
+ * than at simulation speed.
  */
 
 #pragma once
@@ -207,6 +211,8 @@ class ReplayEngine
     void oracleDemand(PageOracle &po, Tick now);
     /** The oracle_ slot of @p key, appended on its first sight. */
     std::uint32_t pageIndex(std::uint64_t key);
+    /** pageIndex() behind a pageMemo_ miss: the pages_ probe. */
+    std::uint32_t probePage(std::uint64_t key);
     /** A ready_ block for a page whose first prediction arrived. */
     std::uint32_t takeBlock();
 
@@ -224,12 +230,32 @@ class ReplayEngine
     std::uint64_t demandPages_ = 0;
     Tick lastTick_;
 
+    static constexpr std::uint32_t noSlot = ~std::uint32_t{0};
+    static constexpr Ppn noPpn{~std::uint64_t{0}};
+
     /// ppn -> oracle_ slot of the page mapped there: a shadow of the
     /// replayed mappings the oracle uses (not the lazily written-back
     /// Rpt) to resolve demand reads.
     FlatU64Map<std::uint32_t> shadow_;
+    /// The last demand read's shadow_ answer: its ppn and the slot
+    /// mapped there (noSlot when unmapped). Consecutive reads mostly
+    /// hit one frame, so they share one probe. Every PTE record can
+    /// change shadow_ and resets it to noPpn.
+    Ppn demandPpn_ = noPpn;
+    std::uint32_t demandSlot_ = noSlot;
     /// pageKey -> oracle_ slot, for trainer requests.
     FlatU64Map<std::uint32_t> pages_;
+    /// A direct-mapped, L1-resident memo of pages_ (16 KB), indexed by
+    /// the low key bits folded with the pid: every cell that requests
+    /// a page after the first finds its slot here.
+    struct PageMemo
+    {
+        std::uint64_t key = 0;
+        std::uint32_t slot = noSlot;
+    };
+    static constexpr std::size_t pageMemoSlots = 1024;
+    std::vector<PageMemo> pageMemo_ =
+        std::vector<PageMemo>(pageMemoSlots);
     /// Shared per-page oracle state in first-sight order: a demand
     /// read costs one shadow_ probe and one indexed load, and pages
     /// mapped or predicted together sit side by side.

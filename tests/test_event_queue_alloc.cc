@@ -52,7 +52,8 @@ struct AllocTracker
 } // namespace
 
 // Instrumented global allocator: counts while armed, delegates to
-// malloc/free. Sized/array forms forward so nothing escapes the count.
+// malloc/free. Sized, array and nothrow forms forward so nothing
+// escapes the count.
 // GCC pair-matches new/free across the replaced operators and warns;
 // that analysis does not apply to the replacing definitions themselves.
 #if defined(__GNUC__) && !defined(__clang__)
@@ -74,6 +75,24 @@ void *
 operator new[](std::size_t n)
 {
     return ::operator new(n);
+}
+
+// The nothrow forms too (std::stable_sort's temporary buffer uses
+// them): left to the runtime, they would allocate through its own
+// operator new while the replaced delete below frees with free(), a
+// mismatch AddressSanitizer reports.
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    if (g_track)
+        ++g_allocs;
+    return std::malloc(n ? n : 1);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(n, tag);
 }
 
 void

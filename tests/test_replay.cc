@@ -224,6 +224,54 @@ TEST(Replay, MissingTracePropagatesOpenFailed)
     EXPECT_EQ(engine.result().records, 0u);
 }
 
+// The demand path shares one shadow probe across a run of reads of
+// one frame. A frame unmapped and remapped to another page between
+// two reads must drop that shared answer: the read after the clear
+// charges nothing, and the read after the remap charges the new page.
+TEST(Replay, RemappedFrameChargesTheNewPage)
+{
+    std::string path = tmpPath("remap");
+    const Pid pid{1};
+    const Ppn frame{7};
+    const PhysAddr line = pageBase(frame);
+    auto pte = [&](trace::ReplayKind kind, Vpn vpn, std::uint64_t t) {
+        trace::ReplayRecord r;
+        r.kind = kind;
+        r.pid = pid;
+        r.vpn = vpn;
+        r.ppn = frame;
+        r.tick = Tick{t};
+        return r;
+    };
+    auto read = [&](std::uint64_t offset, std::uint64_t t) {
+        trace::ReplayRecord r;
+        r.pa = line + offset;
+        r.tick = Tick{t};
+        return r;
+    };
+    {
+        trace::TraceWriter w(path);
+        w.append(pte(trace::ReplayKind::PteSet, Vpn{100}, 1));
+        w.append(read(0, 2));
+        w.append(read(64, 3));
+        w.append(pte(trace::ReplayKind::PteClear, Vpn{100}, 4));
+        w.append(read(128, 5));
+        w.append(pte(trace::ReplayKind::PteSet, Vpn{200}, 6));
+        w.append(read(192, 7));
+        ASSERT_TRUE(w.finish());
+    }
+    trace::TraceReader reader;
+    ASSERT_EQ(reader.open(path), trace::TraceIoStatus::Ok);
+    ReplayEngine engine;
+    ASSERT_EQ(engine.run(reader), trace::TraceIoStatus::Ok);
+    EXPECT_EQ(engine.result().records, 7u);
+    EXPECT_EQ(engine.result().mcAccesses, 4u);
+    EXPECT_EQ(engine.result().pteEvents, 3u);
+    // Page 100 (reads at ticks 2 and 3) and page 200 (tick 7).
+    EXPECT_EQ(engine.result().demandPages, 2u);
+    std::remove(path.c_str());
+}
+
 TEST(Replay, TruncatedTracePropagatesAndKeepsPrefix)
 {
     std::string path = tmpPath("trunc");

@@ -280,24 +280,25 @@ contents(SetAssocCache<int> &c)
  */
 void
 checkAgainstAgeStamps(std::size_t sets, std::size_t ways,
-                      std::uint64_t seed, std::size_t ops)
+                      std::uint64_t seed, std::size_t ops,
+                      const std::vector<std::uint64_t> &pool)
 {
     SCOPED_TRACE(testing::Message()
-                 << sets << "x" << ways << " seed " << seed);
+                 << sets << "x" << ways << " seed " << seed << " pool "
+                 << pool.size() << " from " << pool.back());
     SetAssocCache<int> dut(sets, ways);
     AgeStampCache ref(sets, ways);
     hopp::Pcg32 rng(seed);
     const std::size_t cap = sets * ways;
-    // Twice the capacity in distinct tags: full sets, a steady mix of
-    // hits and misses, and real LRU decisions on every geometry.
-    const std::uint32_t pool = static_cast<std::uint32_t>(2 * cap);
     const std::uint32_t clearOdds = static_cast<std::uint32_t>(16 * cap);
+    const auto poolSize = static_cast<std::uint32_t>(pool.size());
     std::uint64_t last = 0;
     for (std::size_t i = 0; i < ops; ++i) {
         const int value = static_cast<int>(i);
         // One access in four re-touches the previous tag: the MRU
         // streak an HPD sees along a page.
-        std::uint64_t tag = rng.below(4) == 0 ? last : rng.below(pool);
+        std::uint64_t tag =
+            rng.below(4) == 0 ? last : pool[rng.below(poolSize)];
         last = tag;
         const std::uint32_t op = rng.below(100);
         if (rng.below(clearOdds) == 0) {
@@ -352,20 +353,89 @@ checkAgainstAgeStamps(std::size_t sets, std::size_t ways,
     ASSERT_EQ(dut.size(), ref.contents().size());
 }
 
+/** Twice the capacity in distinct tags 0..2*cap-1: full sets, a
+ *  steady mix of hits and misses, and real LRU decisions. */
+std::vector<std::uint64_t>
+densePool(std::size_t sets, std::size_t ways)
+{
+    std::vector<std::uint64_t> pool(2 * sets * ways);
+    for (std::size_t i = 0; i < pool.size(); ++i)
+        pool[i] = i;
+    return pool;
+}
+
+/**
+ * Twice the capacity in distinct tags whose fingerprints all collide:
+ * per set, 2 x ways tags of that set sharing one fingerprint, so
+ * every probe meets fingerprint matches whose tags differ and must
+ * fall back to the full tag compare.
+ */
+std::vector<std::uint64_t>
+collidingPool(std::size_t sets, std::size_t ways)
+{
+    std::vector<std::uint64_t> pool;
+    for (std::size_t set = 0; set < sets; ++set) {
+        std::vector<std::uint64_t> byFp[256];
+        for (std::uint64_t tag = set;; tag += sets) {
+            auto &bucket = byFp[SetAssocCache<int>::fingerprint(tag)];
+            bucket.push_back(tag);
+            if (bucket.size() == 2 * ways) {
+                pool.insert(pool.end(), bucket.begin(), bucket.end());
+                break;
+            }
+        }
+    }
+    return pool;
+}
+
 } // namespace
 
 // The recency-list LRU is exactly the age-stamp LRU it replaced, on
 // every geometry the simulator uses: degenerate, small, the HPD's
-// 4x16, the widest (64 ways, the ablation HPD) and an LLC-like one.
+// 4x16, the widest (64 ways, the ablation HPD) and an LLC-like one;
+// and the fingerprint scan is exact on way counts that are not a
+// multiple of its eight-way word (1, 3, 12, 20), including when every
+// tag of a set shares one fingerprint.
 TEST(SetAssocOracle, MatchesAgeStampLru)
 {
     const std::pair<std::size_t, std::size_t> geometries[] = {
-        {1, 1}, {4, 2}, {4, 16}, {4, 64}, {512, 16}};
+        {1, 1},  {8, 1},  {4, 2},  {4, 3},   {8, 12},
+        {4, 16}, {4, 20}, {4, 64}, {512, 16}};
     for (auto [sets, ways] : geometries) {
-        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-            checkAgainstAgeStamps(sets, ways, seed, 60000);
-            if (HasFatalFailure())
-                return;
+        for (const auto &pool :
+             {densePool(sets, ways), collidingPool(sets, ways)}) {
+            for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+                checkAgainstAgeStamps(sets, ways, seed, 60000, pool);
+                if (HasFatalFailure())
+                    return;
+            }
         }
     }
+}
+
+// Two tags of one set with the same fingerprint are told apart by the
+// full tag compare, wherever their ways sit in the fingerprint words.
+TEST(SetAssoc, FingerprintCollisionsResolveByTag)
+{
+    constexpr std::size_t sets = 4, ways = 20;
+    const std::vector<std::uint64_t> pool = collidingPool(sets, ways);
+    const std::uint64_t fp = SetAssocCache<int>::fingerprint(pool[0]);
+    SetAssocCache<int> c(sets, ways);
+    for (std::size_t i = 0; i < ways; ++i) {
+        ASSERT_EQ(SetAssocCache<int>::fingerprint(pool[i]), fp);
+        ASSERT_EQ(pool[i] % sets, pool[0] % sets);
+        EXPECT_FALSE(c.insert(pool[i], static_cast<int>(i)).has_value());
+    }
+    for (std::size_t i = 0; i < ways; ++i) {
+        ASSERT_NE(c.peek(pool[i]), nullptr) << i;
+        EXPECT_EQ(*c.peek(pool[i]), static_cast<int>(i));
+    }
+    // A colliding tag that was never inserted misses.
+    EXPECT_EQ(c.peek(pool[ways]), nullptr);
+    EXPECT_FALSE(c.probeInsert(pool[ways], -1).hit);
+    // Erasing one colliding way leaves the others reachable.
+    EXPECT_EQ(c.erase(pool[ways - 1]), std::optional<int>(
+                                            static_cast<int>(ways - 1)));
+    EXPECT_EQ(c.peek(pool[ways - 1]), nullptr);
+    EXPECT_EQ(*c.peek(pool[1]), 1);
 }
