@@ -1,6 +1,6 @@
 // Validators format tagged values into printf-style diagnostics and
 // cross-check accounting by raw value; the whole file is a designated
-// raw boundary. hopp-lint: allow-file(raw)
+// raw boundary. hopp-analyze: allow-file(raw)
 #include "check/invariants.hh"
 
 #include <algorithm>

@@ -30,7 +30,7 @@ using HotPageRing = trace::RingBuffer<HotPage>;
 
 /** Bytes one packed hot-page record occupies in DRAM (64-bit combo) —
  *  a size, not an address. */
-// hopp-lint: allow(raw-int-addr)
+// hopp-analyze: allow(raw-int-addr)
 inline constexpr std::uint64_t hotPageRecordBytes = 8;
 
 } // namespace hopp::core

@@ -69,7 +69,7 @@ void
 HotPagePipeline::MarkovGroup::train(const HotPage &hp)
 {
     const std::size_t known = lastHot.size();
-    Vpn &last = lastHot[hp.pid.raw()]; // hopp-lint: allow(raw) map key
+    Vpn &last = lastHot[hp.pid.raw()]; // hopp-analyze: allow(raw) map key
     if (lastHot.size() == known && last != hp.vpn)
         table->train(hp.pid, last, hp.vpn);
     last = hp.vpn;

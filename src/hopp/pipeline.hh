@@ -165,7 +165,7 @@ class HotPagePipeline
         // Channel steering hashes the line/frame number's low bits.
         std::uint64_t unit = cfg_.channelInterleaved
                                  ? lineOf(pa)
-                                 : pageOf(pa).raw(); // hopp-lint: allow(raw)
+                                 : pageOf(pa).raw(); // hopp-analyze: allow(raw)
         return static_cast<unsigned>(unit & (cfg_.channels - 1));
     }
 

@@ -46,21 +46,21 @@ class Rpt
     void
     store(Ppn ppn, const RptEntry &e)
     {
-        entries_[ppn.raw()] = e; // hopp-lint: allow(raw) map key
+        entries_[ppn.raw()] = e; // hopp-analyze: allow(raw) map key
     }
 
     /** Remove an entry. */
     void
     erase(Ppn ppn)
     {
-        entries_.erase(ppn.raw()); // hopp-lint: allow(raw) map key
+        entries_.erase(ppn.raw()); // hopp-analyze: allow(raw) map key
     }
 
     /** Read an entry. */
     std::optional<RptEntry>
     load(Ppn ppn) const
     {
-        const RptEntry *e = entries_.find(ppn.raw()); // hopp-lint: allow(raw) map key
+        const RptEntry *e = entries_.find(ppn.raw()); // hopp-analyze: allow(raw) map key
         if (!e)
             return std::nullopt;
         return *e;

@@ -187,7 +187,7 @@ class Trainer
         // The correlation tier has no STT stream; key the policy
         // offset on a per-PID pseudo-stream and chase the successor
         // chain as deep as the adaptive offset asks.
-        // Pseudo-stream id packing. hopp-lint: allow(raw)
+        // Pseudo-stream id packing. hopp-analyze: allow(raw)
         std::uint64_t stream_id = (1ull << 62) | hp.pid.raw();
         auto depth = static_cast<unsigned>(std::min<std::uint64_t>(
             16, std::max<std::uint64_t>(

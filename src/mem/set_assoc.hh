@@ -293,9 +293,9 @@ class SetAssocCache
     rawKey(Key tag)
     {
         // Set indexing needs the key's bits regardless of its tag
-        // type. hopp-lint: allow(raw)
+        // type. hopp-analyze: allow(raw)
         if constexpr (requires { tag.raw(); })
-            return tag.raw(); // hopp-lint: allow(raw)
+            return tag.raw(); // hopp-analyze: allow(raw)
         else
             return static_cast<std::uint64_t>(tag);
     }

@@ -78,7 +78,7 @@ class Link
         }
         // Black box: link completions are where remote latency comes
         // from; the last few tell a post-mortem what the wire was
-        // doing. hopp-lint: allow(raw) payload serialization
+        // doing. hopp-analyze: allow(raw) payload serialization
         obs::blackbox().record(obs::BbKind::LinkTransfer, now, tid_,
                                bytes,
                                (busyUntil_ + cfg_.baseLatency).raw());

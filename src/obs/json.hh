@@ -2,7 +2,9 @@
  * @file
  * Minimal recursive-descent JSON parser for the observability tooling:
  * `hopp_trace` and the trace-emitter tests parse the writer's output
- * back with it, closing the loop without an external dependency.
+ * back with it, closing the loop without an external dependency. Its
+ * writing half is appendQuoted(), the string quoter shared by the trace
+ * writer, hopp-replay and hopp_analyze.
  *
  * Supports the full JSON grammar the trace writer emits (objects,
  * arrays, strings with basic escapes, numbers, booleans, null). Not a
@@ -12,9 +14,11 @@
 
 #pragma once
 
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -330,6 +334,31 @@ struct Parser
 };
 
 } // namespace detail
+
+/**
+ * Append @p s to @p out as a JSON string literal: '"' and '\\' are
+ * backslash-escaped, control bytes become \u00XX, and every other byte
+ * is copied as is, so any path or message yields a valid document.
+ */
+inline void
+appendQuoted(std::string &out, std::string_view s)
+{
+    out += '"';
+    for (char c : s) {
+        if (c == '"' || c == '\\') {
+            out += '\\';
+            out += c;
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(c));
+            out += buf;
+        } else {
+            out += c;
+        }
+    }
+    out += '"';
+}
 
 /**
  * Parse @p text as one JSON document.

@@ -69,7 +69,7 @@ MetricsSampler::toCsv() const
     out += '\n';
     char buf[40];
     for (std::size_t row = 0; row < times_.size(); ++row) {
-        // CSV is a serialization boundary. hopp-lint: allow(raw)
+        // CSV is a serialization boundary. hopp-analyze: allow(raw)
         std::snprintf(buf, sizeof(buf), "%llu",
                       static_cast<unsigned long long>(times_[row].raw()));
         out += buf;

@@ -63,7 +63,7 @@ collect()
     Report r;
     detail::Registry &reg = detail::registry();
     // Report-side registry access, not simulation.
-    // hopp-lint: allow(thread-primitive)
+    // hopp-analyze: allow(thread-primitive)
     const std::lock_guard<std::mutex> lock(reg.mu);
     for (unsigned z = 0; z < zoneCount; ++z)
         r.zones[z] = reg.retired[z];
@@ -83,7 +83,7 @@ reset()
 {
     detail::Registry &reg = detail::registry();
     // Report-side registry access, not simulation.
-    // hopp-lint: allow(thread-primitive)
+    // hopp-analyze: allow(thread-primitive)
     const std::lock_guard<std::mutex> lock(reg.mu);
     for (ZoneSlot &s : reg.retired)
         s = ZoneSlot{};

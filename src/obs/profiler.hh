@@ -33,7 +33,7 @@
  *    (hopp_run.profiler_on_off_identical) holds run/trace/metrics/
  *    stats artifacts identical profiler-on vs profiler-off.
  *  - This header and profiler.cc are the ONLY sanctioned wall-clock
- *    site in src/ outside runner/sweep*: `hopp_lint` bans
+ *    site in src/ outside runner/sweep*: `hopp_analyze` bans
  *    steady_clock/system_clock everywhere else in the tree.
  *  - When disabled (the constructed state), `ScopedZone` is an
  *    unarmed no-op: one predictable branch, no clock read. Defining
@@ -43,11 +43,11 @@
 #pragma once
 
 #include <array>
-// Wall-clock sanctioned here only: hopp_lint carves out obs/profiler.*
+// Wall-clock sanctioned here only: hopp_analyze carves out obs/profiler.*
 // as the one component whose *purpose* is host time.
 #include <chrono>
 #include <cstdint>
-#include <mutex> // hopp-lint: allow(thread-primitive) table registry below
+#include <mutex> // hopp-analyze: allow(thread-primitive) table registry below
 #include <string>
 #include <vector>
 
@@ -215,7 +215,7 @@ struct Registry
     Registry() { live.reserve(64); }
 
     // Registration is host-thread lifecycle, not simulation.
-    // hopp-lint: allow(thread-primitive)
+    // hopp-analyze: allow(thread-primitive)
     std::mutex mu;
     std::vector<ZoneTable *> live;
     std::array<ZoneSlot, zoneCount> retired{};
@@ -242,7 +242,7 @@ registry()
 inline ZoneTable::ZoneTable()
 {
     detail::Registry &reg = detail::registry();
-    // hopp-lint: allow(thread-primitive) once per host thread
+    // hopp-analyze: allow(thread-primitive) once per host thread
     const std::lock_guard<std::mutex> lock(reg.mu);
     // Registration is thread-start init, not the record path.
     // hopp-analyze: allow(hotpath-alloc)
@@ -252,7 +252,7 @@ inline ZoneTable::ZoneTable()
 inline ZoneTable::~ZoneTable()
 {
     detail::Registry &reg = detail::registry();
-    // hopp-lint: allow(thread-primitive) once per host thread
+    // hopp-analyze: allow(thread-primitive) once per host thread
     const std::lock_guard<std::mutex> lock(reg.mu);
     for (unsigned z = 0; z < zoneCount; ++z) {
         reg.retired[z].totalNs += slots_[z].totalNs;

@@ -3,33 +3,13 @@
 #include <cstdio>
 #include <cstring>
 
+#include "obs/json.hh"
+
 namespace hopp::obs
 {
 
 namespace
 {
-
-/** Append a JSON string literal (names/cats are plain ASCII). */
-void
-appendQuoted(std::string &out, const char *s)
-{
-    out += '"';
-    for (const char *p = s; *p; ++p) {
-        char c = *p;
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(c));
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    out += '"';
-}
 
 /** Append nanoseconds as decimal microseconds, integer math only. */
 void
@@ -47,14 +27,14 @@ void
 appendEvent(std::string &out, const TraceEvent &e)
 {
     out += "{\"name\":";
-    appendQuoted(out, e.name);
+    json::appendQuoted(out, e.name);
     out += ",\"cat\":";
-    appendQuoted(out, e.cat);
+    json::appendQuoted(out, e.cat);
     out += ",\"ph\":\"";
     out += e.ph;
     out += "\",\"ts\":";
     // Unit-change boundary: ticks leave the tagged domain here.
-    appendMicros(out, e.ts.raw()); // hopp-lint: allow(raw)
+    appendMicros(out, e.ts.raw()); // hopp-analyze: allow(raw)
     if (e.ph == 'X') {
         out += ",\"dur\":";
         appendMicros(out, e.dur);

@@ -208,7 +208,7 @@ ReplayEngine::dispatch(const trace::ReplayRecord &r)
         if (!r.isWrite) {
             const Ppn ppn = pageOf(r.pa);
             if (ppn != demandPpn_) {
-                const std::uint32_t *page = shadow_.find(ppn.raw()); // hopp-lint: allow(raw) map key
+                const std::uint32_t *page = shadow_.find(ppn.raw()); // hopp-analyze: allow(raw) map key
                 demandPpn_ = ppn;
                 demandSlot_ = page ? *page : noSlot;
             }
@@ -229,20 +229,20 @@ ReplayEngine::dispatch(const trace::ReplayRecord &r)
             r.ppn, core::RptEntry{r.pid, r.vpn, r.shared,
                                   static_cast<std::uint8_t>(
                                       r.huge ? 1 : 0)});
-        shadow_[r.ppn.raw()] = pageIndex(vm::pageKey(r.pid, r.vpn)); // hopp-lint: allow(raw) map key
+        shadow_[r.ppn.raw()] = pageIndex(vm::pageKey(r.pid, r.vpn)); // hopp-analyze: allow(raw) map key
         break;
       case trace::ReplayKind::PteSet:
         demandPpn_ = noPpn;
         ++pteEvents_;
         pipeline_.onPteSet(r.pid, r.vpn, r.ppn, r.shared, r.huge,
                            r.tick);
-        shadow_[r.ppn.raw()] = pageIndex(vm::pageKey(r.pid, r.vpn)); // hopp-lint: allow(raw) map key
+        shadow_[r.ppn.raw()] = pageIndex(vm::pageKey(r.pid, r.vpn)); // hopp-analyze: allow(raw) map key
         break;
       case trace::ReplayKind::PteClear:
         demandPpn_ = noPpn;
         ++pteEvents_;
         pipeline_.onPteClear(r.pid, r.vpn, r.ppn, r.tick);
-        shadow_.erase(r.ppn.raw()); // hopp-lint: allow(raw) map key
+        shadow_.erase(r.ppn.raw()); // hopp-analyze: allow(raw) map key
         break;
     }
     ++records_;
@@ -309,7 +309,7 @@ ReplayEngine::oracleJson(std::size_t cell) const
     put("replay_records", result.records);
     put("replay_mc_accesses", result.mcAccesses);
     put("replay_pte_events", result.pteEvents);
-    put("replay_last_tick", result.lastTick.raw()); // hopp-lint: allow(raw) stats boundary
+    put("replay_last_tick", result.lastTick.raw()); // hopp-analyze: allow(raw) stats boundary
     put("oracle_requested", result.requested);
     put("oracle_used", result.used);
     put("oracle_late", result.late);

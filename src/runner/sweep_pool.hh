@@ -18,7 +18,7 @@
  * after all workers join.
  *
  * This header is the ONLY place in src/ and tools/ allowed to use raw
- * thread primitives (enforced by hopp_lint's thread-primitive rule):
+ * thread primitives (enforced by hopp_analyze's thread-primitive rule):
  * simulation code must stay single-threaded and deterministic, and
  * host parallelism stays quarantined behind this index-based API.
  */

@@ -1,5 +1,5 @@
 // External wire-format ingestion is a designated raw boundary.
-// hopp-lint: allow-file(raw, page-shift)
+// hopp-analyze: allow-file(raw, page-shift)
 
 #include "trace/champsim.hh"
 

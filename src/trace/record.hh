@@ -10,7 +10,7 @@
  * into the fixed-width wire format is exactly what .raw() exists for.
  */
 
-// Wire-format packing boundary. hopp-lint: allow-file(raw, page-shift)
+// Wire-format packing boundary. hopp-analyze: allow-file(raw, page-shift)
 
 #pragma once
 

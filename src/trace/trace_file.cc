@@ -1,5 +1,5 @@
 // Trace container framing is a designated raw boundary.
-// hopp-lint: allow-file(raw, page-shift)
+// hopp-analyze: allow-file(raw, page-shift)
 
 #include "trace/trace_file.hh"
 
@@ -37,6 +37,26 @@ constexpr std::size_t maxBlockPayload =
     std::max(maxEncodedRecordBytes, rawRecordBytes);
 
 } // namespace
+
+const char *
+traceIoStatusName(TraceIoStatus s)
+{
+    switch (s) {
+      case TraceIoStatus::Ok:
+        return "ok";
+      case TraceIoStatus::OpenFailed:
+        return "open failed";
+      case TraceIoStatus::WriteFailed:
+        return "write failed";
+      case TraceIoStatus::BadHeader:
+        return "bad header";
+      case TraceIoStatus::Truncated:
+        return "truncated";
+      case TraceIoStatus::Corrupt:
+        return "corrupt";
+    }
+    return "unknown";
+}
 
 // ---------------------------------------------------------------- writer
 

@@ -10,7 +10,7 @@
  * Codec Delta packs ReplayRecords with the delta+zigzag+varint record
  * codec (codec.hh); encoder state resets at each block, so blocks
  * decode independently and a reader can seek by skipping whole blocks.
- * Codec Raw16 stores the legacy 16-byte HmttRecord wire pairs
+ * Codec Raw16 stores the 16-byte HmttRecord wire pairs
  * (pack() + full timestamp) unchanged — the §V hardware format kept as
  * a fallback for tools that speak only HMTT records.
  *
@@ -28,10 +28,32 @@
 
 #include "trace/codec.hh"
 #include "trace/record.hh"
-#include "trace/trace_io.hh"
 
 namespace hopp::trace
 {
+
+/**
+ * Outcome of a trace file operation. Distinguishes "the file has no
+ * records" (Ok, empty output) from "the file could not be opened or is
+ * damaged" — callers must branch on the status, not the record count.
+ */
+enum class TraceIoStatus
+{
+    Ok = 0,
+    /** fopen failed (missing file, permissions, bad path). */
+    OpenFailed,
+    /** fwrite/fclose failed (disk full, IO error). */
+    WriteFailed,
+    /** File magic/version/codec field is not a trace file's. */
+    BadHeader,
+    /** File ends mid-record or mid-block. */
+    Truncated,
+    /** Structurally valid framing but undecodable payload. */
+    Corrupt,
+};
+
+/** Human-readable name of @p s for error messages. */
+const char *traceIoStatusName(TraceIoStatus s);
 
 /** Payload encoding of a trace file's blocks. */
 enum class TraceCodec : std::uint32_t

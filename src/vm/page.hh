@@ -36,9 +36,9 @@ inline constexpr Origin originDemand = 0;
  * deliberate 64-bit encoding, not address arithmetic.
  */
 constexpr std::uint64_t
-pageKey(Pid pid, Vpn vpn) // hopp-lint: allow(raw-int-addr)
+pageKey(Pid pid, Vpn vpn) // hopp-analyze: allow(raw-int-addr)
 {
-    // Packing into the 16:48 key layout. hopp-lint: allow(raw)
+    // Packing into the 16:48 key layout. hopp-analyze: allow(raw)
     return (static_cast<std::uint64_t>(pid.raw()) << 48) | vpn.raw();
 }
 

@@ -99,7 +99,7 @@ class PageTable
     PageInfo *
     find(Pid pid, Vpn vpn)
     {
-        std::uint16_t p = pid.raw(); // dense directory index. hopp-lint: allow(raw)
+        std::uint16_t p = pid.raw(); // dense directory index. hopp-analyze: allow(raw)
         if (p >= dirs_.size())
             return nullptr;
         Directory &dir = dirs_[p];
@@ -165,7 +165,7 @@ class PageTable
     keysOf(Pid pid) const
     {
         std::vector<std::uint64_t> keys;
-        std::uint16_t p = pid.raw(); // dense directory index. hopp-lint: allow(raw)
+        std::uint16_t p = pid.raw(); // dense directory index. hopp-analyze: allow(raw)
         if (p >= dirs_.size())
             return keys;
         const Directory &dir = dirs_[p];
@@ -180,7 +180,7 @@ class PageTable
     void
     erase(Pid pid, Vpn vpn)
     {
-        std::uint16_t p = pid.raw(); // dense directory index. hopp-lint: allow(raw)
+        std::uint16_t p = pid.raw(); // dense directory index. hopp-analyze: allow(raw)
         if (p >= dirs_.size())
             return;
         Directory &dir = dirs_[p];
@@ -253,23 +253,23 @@ class PageTable
         // The directory is a dense array over vpn >> leafShift; bound
         // the index so a stray huge VPN cannot balloon it. Real
         // workloads top out around 2^25 pages (dir index ~2^16).
-        std::uint64_t di = vpn.raw() >> leafShift; // radix split. hopp-lint: allow(raw)
+        std::uint64_t di = vpn.raw() >> leafShift; // radix split. hopp-analyze: allow(raw)
         hopp_assert(di < (1ull << 28),
                     "vpn %llu beyond the radix directory range",
-                    (unsigned long long)vpn.raw()); // hopp-lint: allow(raw)
+                    (unsigned long long)vpn.raw()); // hopp-analyze: allow(raw)
         return di;
     }
 
     static std::uint64_t
     slotIndex(Vpn vpn)
     {
-        return vpn.raw() & (leafPages - 1); // radix split. hopp-lint: allow(raw)
+        return vpn.raw() & (leafPages - 1); // radix split. hopp-analyze: allow(raw)
     }
 
     Directory &
     directoryOf(Pid pid)
     {
-        std::uint16_t p = pid.raw(); // dense directory index. hopp-lint: allow(raw)
+        std::uint16_t p = pid.raw(); // dense directory index. hopp-analyze: allow(raw)
         if (p >= dirs_.size())
             // Grows once per new pid (process creation), never on a
             // steady-state walk. hopp-analyze: allow(hotpath-alloc)

@@ -127,7 +127,7 @@ class Tlb : public PteHook
     {
         // Low VPN bits spread sequential streams across slots; folding
         // the pid in keeps colocated processes from aliasing slot 0.
-        // Index mixing of the raw fields. hopp-lint: allow(raw)
+        // Index mixing of the raw fields. hopp-analyze: allow(raw)
         return (vpn.raw() ^ (std::uint64_t(pid.raw()) << 7)) & mask_;
     }
 

@@ -22,7 +22,7 @@ Vms::Vms(sim::EventQueue &eq, mem::Dram &dram, mem::MemCtrl &mc,
 void
 Vms::createProcess(Pid pid, std::uint64_t limit_frames)
 {
-    // Diagnostic formatting of the pid. hopp-lint: allow(raw)
+    // Diagnostic formatting of the pid. hopp-analyze: allow(raw)
     hopp_assert(findCgroup(pid) == nullptr, "process %u already exists",
                 pid.raw());
     cgroups_.emplace_back(pid, limit_frames);
@@ -42,7 +42,7 @@ Cgroup &
 Vms::cgroup(Pid pid)
 {
     Cgroup *cg = findCgroup(pid);
-    // Diagnostic formatting of the pid. hopp-lint: allow(raw)
+    // Diagnostic formatting of the pid. hopp-analyze: allow(raw)
     hopp_assert(cg != nullptr, "unknown process %u", pid.raw());
     return *cg;
 }
@@ -54,7 +54,7 @@ Vms::destroyProcess(Pid pid, Tick now)
     for (std::uint64_t key : table_.keysOf(pid)) {
         Vpn vpn = keyVpn(key);
         PageInfo &pi = *table_.find(pid, vpn);
-        // Diagnostic formatting of pid/vpn. hopp-lint: allow(raw)
+        // Diagnostic formatting of pid/vpn. hopp-analyze: allow(raw)
         hopp_assert(!pi.inflight,
                     "destroying process %u with page %llu mid-fetch",
                     pid.raw(), (unsigned long long)vpn.raw());
@@ -190,7 +190,7 @@ Vms::evictOne(Cgroup &cg, Tick now, bool direct, Duration *cost)
         }
         // Black box: which page the reclaim scan chose, and whether
         // the caller was a direct-reclaiming fault (b=1) or kswapd.
-        // Ring payload serialization. hopp-lint: allow(raw)
+        // Ring payload serialization. hopp-analyze: allow(raw)
         obs::blackbox().record(obs::BbKind::Evict, now, vpid.raw(),
                                vvpn.raw(), direct ? 1 : 0);
         return true;
@@ -287,11 +287,11 @@ void
 Vms::mapPage(Pid pid, Vpn vpn, PageInfo &pi, Ppn ppn, bool charged,
              Origin origin, bool injected, Tick now)
 {
-    // Diagnostic formatting of pid/vpn. hopp-lint: allow(raw)
+    // Diagnostic formatting of pid/vpn. hopp-analyze: allow(raw)
     HOPP_DCHECK(pi.state != PageState::Resident,
                 "double map of page %u:%llu", pid.raw(),
                 (unsigned long long)vpn.raw());
-    // Diagnostic formatting of pid/vpn. hopp-lint: allow(raw)
+    // Diagnostic formatting of pid/vpn. hopp-analyze: allow(raw)
     HOPP_DCHECK(!pi.inflight, "mapping page %u:%llu mid-fetch", pid.raw(),
                 (unsigned long long)vpn.raw());
     pi.state = PageState::Resident;
@@ -345,7 +345,7 @@ Vms::accessSlow(Pid pid, VirtAddr va, bool is_write, Tick now, Tlb *tlb)
         pi.dirty = true;
         pi.hasSwapCopy = false;
         ++stats_.coldFaults;
-        // Ring payload serialization. hopp-lint: allow(raw)
+        // Ring payload serialization. hopp-analyze: allow(raw)
         obs::blackbox().record(obs::BbKind::FaultCold, now, pid.raw(),
                                vpn.raw(), cost);
         if (trace_)
@@ -384,7 +384,7 @@ Vms::accessSlow(Pid pid, VirtAddr va, bool is_write, Tick now, Tlb *tlb)
         firePteSet(pid, vpn, pi, now + cost);
         ++stats_.swapCacheHits;
         --swapCachedPages_;
-        // Ring payload serialization. hopp-lint: allow(raw)
+        // Ring payload serialization. hopp-analyze: allow(raw)
         obs::blackbox().record(obs::BbKind::FaultSwapHit, now, pid.raw(),
                                vpn.raw(), cost);
         if (trace_)
@@ -427,7 +427,7 @@ Vms::accessSlow(Pid pid, VirtAddr va, bool is_write, Tick now, Tlb *tlb)
             llc_.invalidatePage(ppn);
             ++stats_.inflightWaits;
             --inflight_;
-            // Ring payload serialization. hopp-lint: allow(raw)
+            // Ring payload serialization. hopp-analyze: allow(raw)
             obs::blackbox().record(obs::BbKind::FaultWait, now,
                                    pid.raw(), vpn.raw(), cost);
             if (trace_)
@@ -467,7 +467,7 @@ Vms::accessSlow(Pid pid, VirtAddr va, bool is_write, Tick now, Tlb *tlb)
         mc_.pageDma(ppn, now + cost);
         llc_.invalidatePage(ppn);
         ++stats_.remoteFaults;
-        // Ring payload serialization. hopp-lint: allow(raw)
+        // Ring payload serialization. hopp-analyze: allow(raw)
         obs::blackbox().record(obs::BbKind::FaultRemote, now, pid.raw(),
                                vpn.raw(), cost);
         if (trace_) {
@@ -521,7 +521,7 @@ Vms::prefetchToSwapCache(Pid pid, Vpn vpn, Origin origin, Tick now)
     pi.completesAt = backend_.readAsync(
         issue,
         [this, pid, vpn](Tick t) { finishPrefetch(pid, vpn, t); });
-    // Ring payload serialization. hopp-lint: allow(raw)
+    // Ring payload serialization. hopp-analyze: allow(raw)
     obs::blackbox().record(obs::BbKind::PrefetchIssue, issue, pid.raw(),
                            vpn.raw(), pi.completesAt.raw());
     if (trace_) {
@@ -562,7 +562,7 @@ Vms::prefetchInject(Pid pid, Vpn vpn, Origin origin, Tick now)
         firePteSet(pid, vpn, pi, now);
         ++stats_.adoptions;
         --swapCachedPages_;
-        // Ring payload serialization. hopp-lint: allow(raw)
+        // Ring payload serialization. hopp-analyze: allow(raw)
         obs::blackbox().record(obs::BbKind::PrefetchInject, now,
                                pid.raw(), vpn.raw(), 0);
         if (trace_)
@@ -593,7 +593,7 @@ Vms::prefetchInject(Pid pid, Vpn vpn, Origin origin, Tick now)
     pi.completesAt = backend_.readAsync(
         issue,
         [this, pid, vpn](Tick t) { finishPrefetch(pid, vpn, t); });
-    // Ring payload serialization. hopp-lint: allow(raw)
+    // Ring payload serialization. hopp-analyze: allow(raw)
     obs::blackbox().record(obs::BbKind::PrefetchIssue, issue, pid.raw(),
                            vpn.raw(), pi.completesAt.raw());
     if (trace_) {
@@ -637,7 +637,7 @@ Vms::prefetchInjectBatch(Pid pid, Vpn vpn, unsigned count,
     for (Vpn v : bundleScratch_)
         table_.get(pid, v).completesAt = completion;
     // One ring entry covers the bundle (one transfer): a = first vpn,
-    // b = bundle size. hopp-lint: allow(raw)
+    // b = bundle size. hopp-analyze: allow(raw)
     obs::blackbox().record(obs::BbKind::PrefetchIssue, issue, pid.raw(),
                            bundleScratch_.front().raw(),
                            bundleScratch_.size());
@@ -685,7 +685,7 @@ Vms::finishPrefetch(Pid pid, Vpn vpn, Tick completion)
         ++swapCachedPages_;
     }
     // Ring payload serialization; b=1 when the arrival injected a
-    // PTE, 0 when it parked in the swap cache. hopp-lint: allow(raw)
+    // PTE, 0 when it parked in the swap cache. hopp-analyze: allow(raw)
     obs::blackbox().record(obs::BbKind::PrefetchFill, completion,
                            pid.raw(), vpn.raw(), inject ? 1 : 0);
     for (auto *l : listeners_)

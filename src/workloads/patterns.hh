@@ -89,7 +89,7 @@ class LadderGen : public AccessGenerator
   private:
     Params p_;
     std::uint64_t tread_ = 0;
-    // Footprint-relative page cursor, not a VPN. hopp-lint: allow(raw-int-addr)
+    // Footprint-relative page cursor, not a VPN. hopp-analyze: allow(raw-int-addr)
     std::uint64_t page_ = 0;
     unsigned line_ = 0;
     unsigned pass_ = 0;
@@ -171,7 +171,7 @@ class GatherGen : public AccessGenerator
     Params p_;
     Pcg32 rng_;
     ZipfSampler zipf_;
-    // Footprint-relative page cursor, not a VPN. hopp-lint: allow(raw-int-addr)
+    // Footprint-relative page cursor, not a VPN. hopp-analyze: allow(raw-int-addr)
     std::uint64_t page_ = 0;
     unsigned line_ = 0;
     unsigned pass_ = 0;
@@ -208,7 +208,7 @@ class HotColdGen : public AccessGenerator
     Pcg32 rng_;
     ZipfSampler zipf_;
     std::uint64_t count_ = 0;
-    // Footprint-relative page cursor, not a VPN. hopp-lint: allow(raw-int-addr)
+    // Footprint-relative page cursor, not a VPN. hopp-analyze: allow(raw-int-addr)
     std::uint64_t page_ = 0;
     unsigned line_ = 0;
 };
@@ -258,7 +258,7 @@ class ShortRunsGen : public AccessGenerator
     std::uint64_t run_ = 0;
     std::uint64_t runStart_ = 0;
     std::uint64_t runLen_ = 0;
-    // Footprint-relative page cursor, not a VPN. hopp-lint: allow(raw-int-addr)
+    // Footprint-relative page cursor, not a VPN. hopp-analyze: allow(raw-int-addr)
     std::uint64_t page_ = 0;
     unsigned line_ = 0;
     bool inGc_ = false;
@@ -340,7 +340,7 @@ class QuicksortGen : public AccessGenerator
     unsigned line_ = 0;
     // Sequential (cutoff) state
     bool scanning_ = false;
-    // Footprint-relative scan cursor, not a VPN. hopp-lint: allow(raw-int-addr)
+    // Footprint-relative scan cursor, not a VPN. hopp-analyze: allow(raw-int-addr)
     std::uint64_t scanPage_ = 0, scanEnd_ = 0;
     Range cur_{0, 0};
 };

@@ -17,11 +17,11 @@ class Sim
     std::uint64_t
     tick()
     {
-        // hopp-lint: allow(wall-clock) -- seeded analyzer fixture
+        // hopp-analyze: allow(wall-clock) -- seeded analyzer fixture
         auto t0 = std::chrono::steady_clock::now(); // hopp-analyze-expect(hotpath-clock)
         std::mt19937_64 gen(seed_); // hopp-analyze-expect(hotpath-rng)
         std::uint64_t sum = gen();
-        // hopp-lint: allow(unordered-iter) -- seeded analyzer fixture
+        // hopp-analyze: allow(unordered-iter) -- seeded analyzer fixture
         for (auto &kv : map_) // hopp-analyze-expect(hotpath-unordered)
             sum += kv.second;
         sum += static_cast<std::uint64_t>(

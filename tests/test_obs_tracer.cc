@@ -1,8 +1,8 @@
 /**
  * @file
  * Flight-recorder tests: the Tracer buffer, the Chrome trace_event /
- * JSONL writers, the structural checker, and whole-machine trace
- * byte-determinism.
+ * JSONL writers and their string quoter, the structural checker, and
+ * whole-machine trace byte-determinism.
  */
 
 #include <gtest/gtest.h>
@@ -160,6 +160,22 @@ TEST(TraceWriter, JsonlHasOneValidObjectPerLine)
     for (const json::Value &v : storage)
         events.push_back(&v);
     EXPECT_TRUE(checkEvents(events).ok());
+}
+
+TEST(Json, QuotedStringsRoundTripThroughTheParser)
+{
+    // Quotes, backslashes and control bytes (a trace path like
+    // q"dir\t.trc included) must come back byte for byte.
+    const std::string nasty = "q\"dir\\t.trc\nline\x01"
+                              "end";
+    std::string doc;
+    json::appendQuoted(doc, nasty);
+    EXPECT_EQ(doc, "\"q\\\"dir\\\\t.trc\\u000aline\\u0001end\"");
+    json::Value v;
+    std::string err;
+    ASSERT_TRUE(json::parse(doc, v, &err)) << err;
+    ASSERT_TRUE(v.isString());
+    EXPECT_EQ(v.str(), nasty);
 }
 
 TEST(TraceCheckTest, CatchesUnbalancedSpans)

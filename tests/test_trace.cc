@@ -1,19 +1,16 @@
 /**
  * @file
  * Unit tests for the HMTT emulation: record packing, ring buffer
- * semantics, the MC tap, bandwidth accounting, and trace file IO.
+ * semantics, the MC tap, and bandwidth accounting (trace files are
+ * covered by test_trace_codec.cc).
  */
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <deque>
 
 #include "common/random.hh"
 #include "trace/hmtt.hh"
-#include "trace/trace_io.hh"
 
 using namespace hopp;
 using namespace hopp::trace;
@@ -160,61 +157,4 @@ TEST(HmttTap, SequenceNumbersWrapContinuously)
     std::uint8_t expect = 0;
     while (auto r = hmtt.ring().pop())
         EXPECT_EQ(r->seq, expect++);
-}
-
-TEST(TraceIo, WriteReadRoundTrip)
-{
-    std::vector<HmttRecord> recs;
-    for (int i = 0; i < 100; ++i) {
-        HmttRecord r;
-        r.seq = static_cast<std::uint8_t>(i);
-        r.isWrite = i % 3 == 0;
-        r.addr29 = toAddr29(
-            pageBase(Ppn{static_cast<std::uint64_t>(i)}) +
-            (i % 64) * lineBytes);
-        r.fullTime = Tick{static_cast<std::uint64_t>(i) * 123};
-        recs.push_back(r);
-    }
-    std::string path = ::testing::TempDir() + "/hopp_trace_test.bin";
-    ASSERT_TRUE(writeTraceFile(path, recs));
-    std::vector<HmttRecord> back;
-    ASSERT_EQ(readTraceFile(path, back), TraceIoStatus::Ok);
-    ASSERT_EQ(back.size(), recs.size());
-    for (std::size_t i = 0; i < recs.size(); ++i) {
-        EXPECT_EQ(back[i].seq, recs[i].seq);
-        EXPECT_EQ(back[i].isWrite, recs[i].isWrite);
-        EXPECT_EQ(back[i].addr29, recs[i].addr29);
-        EXPECT_EQ(back[i].fullTime, recs[i].fullTime);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, MissingFileReportsOpenFailure)
-{
-    std::vector<HmttRecord> out;
-    EXPECT_EQ(readTraceFile("/nonexistent/zzz.bin", out),
-              TraceIoStatus::OpenFailed);
-    EXPECT_TRUE(out.empty());
-}
-
-TEST(TraceIo, EmptyFileIsOkAndEmpty)
-{
-    std::string path = ::testing::TempDir() + "/hopp_trace_empty.bin";
-    ASSERT_TRUE(writeTraceFile(path, {}));
-    std::vector<HmttRecord> out;
-    EXPECT_EQ(readTraceFile(path, out), TraceIoStatus::Ok);
-    EXPECT_TRUE(out.empty());
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, PartialRecordReportsTruncation)
-{
-    std::vector<HmttRecord> recs(3);
-    std::string path = ::testing::TempDir() + "/hopp_trace_trunc.bin";
-    ASSERT_TRUE(writeTraceFile(path, recs));
-    ASSERT_EQ(::truncate(path.c_str(), 3 * 16 - 5), 0);
-    std::vector<HmttRecord> out;
-    EXPECT_EQ(readTraceFile(path, out), TraceIoStatus::Truncated);
-    EXPECT_EQ(out.size(), 2u); // the complete prefix is still returned
-    std::remove(path.c_str());
 }

@@ -248,7 +248,7 @@ TEST(TraceCodec, RawFallbackPreservesHmttWireFieldsAcrossSeqWrap)
         EXPECT_EQ(in[i].seq, expect_seq++); // wraps at 256, 512
         EXPECT_EQ(out[i].kind, ReplayKind::Mc);
         EXPECT_EQ(out[i].isWrite, in[i].isWrite);
-        EXPECT_EQ(lineOf(out[i].pa), // hopp-lint: allow(raw) wire-field check
+        EXPECT_EQ(lineOf(out[i].pa), // hopp-analyze: allow(raw) wire-field check
                   static_cast<std::uint64_t>(in[i].addr29));
         EXPECT_EQ(out[i].tick, in[i].fullTime);
     }
@@ -336,6 +336,86 @@ TEST(TraceCodec, MissingFileAndBadMagicRejected)
     std::remove(path.c_str());
 }
 
+// TraceIo: the file-level status contract ("no records" is Ok, a
+// missing or damaged file is an error), checked on the Raw16 file of
+// HMTT records.
+
+TEST(TraceIo, WriteReadRoundTrip)
+{
+    std::string path = tmpPath("hopp_trace_io.htrc");
+    TraceWriter::Options opt;
+    opt.codec = TraceCodec::Raw16;
+    std::vector<HmttRecord> recs;
+    {
+        TraceWriter w(path, opt);
+        for (int i = 0; i < 100; ++i) {
+            HmttRecord r;
+            r.isWrite = i % 3 == 0;
+            r.addr29 = toAddr29(
+                pageBase(Ppn{static_cast<std::uint64_t>(i)}) +
+                (i % 64) * lineBytes);
+            r.fullTime = Tick{static_cast<std::uint64_t>(i) * 123};
+            recs.push_back(r);
+            w.appendRaw(r);
+        }
+        ASSERT_TRUE(w.finish());
+    }
+    TraceReader reader;
+    ASSERT_EQ(reader.open(path), TraceIoStatus::Ok);
+    auto back = readAll(reader);
+    ASSERT_EQ(reader.status(), TraceIoStatus::Ok);
+    ASSERT_EQ(back.size(), recs.size());
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+        EXPECT_EQ(back[i].isWrite, recs[i].isWrite);
+        EXPECT_EQ(toAddr29(back[i].pa), recs[i].addr29);
+        EXPECT_EQ(back[i].tick, recs[i].fullTime);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, MissingFileReportsOpenFailure)
+{
+    TraceReader reader;
+    EXPECT_EQ(reader.open("/nonexistent/zzz.htrc"),
+              TraceIoStatus::OpenFailed);
+    EXPECT_TRUE(readAll(reader).empty());
+    EXPECT_EQ(reader.status(), TraceIoStatus::OpenFailed);
+}
+
+TEST(TraceIo, EmptyFileIsOkAndEmpty)
+{
+    // A writer that appends nothing still leaves a valid trace in both
+    // codecs: open and the drain report Ok with zero records.
+    for (TraceCodec codec : {TraceCodec::Delta, TraceCodec::Raw16}) {
+        TraceWriter::Options opt;
+        opt.codec = codec;
+        EXPECT_TRUE(roundTrip({}, "hopp_trace_empty.htrc", opt).empty());
+    }
+}
+
+TEST(TraceIo, PartialRecordReportsTruncation)
+{
+    std::string path = tmpPath("hopp_trace_partial.htrc");
+    TraceWriter::Options opt;
+    opt.codec = TraceCodec::Raw16;
+    opt.blockRecords = 1;
+    std::uint64_t full;
+    {
+        TraceWriter w(path, opt);
+        for (int i = 0; i < 3; ++i)
+            w.appendRaw(HmttRecord{});
+        ASSERT_TRUE(w.finish());
+        full = w.bytesWritten();
+    }
+    // Cut inside the third record's payload.
+    ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(full - 5)), 0);
+    TraceReader reader;
+    ASSERT_EQ(reader.open(path), TraceIoStatus::Ok);
+    EXPECT_EQ(readAll(reader).size(), 2u); // the complete prefix
+    EXPECT_EQ(reader.status(), TraceIoStatus::Truncated);
+    std::remove(path.c_str());
+}
+
 TEST(TraceCodec, BlockBoundaryResume)
 {
     // Blocks must decode independently: skip the first k blocks and
@@ -413,7 +493,7 @@ TEST(ChampSim, ImportSynthesizesMappingsAndAccesses)
     auto recs = readAll(reader);
     ASSERT_EQ(recs.size(), 5u); // 2 PteSet + 3 Mc
     EXPECT_EQ(recs[0].kind, ReplayKind::PteSet);
-    EXPECT_EQ(recs[0].vpn.raw(), // hopp-lint: allow(raw) identity-map check
+    EXPECT_EQ(recs[0].vpn.raw(), // hopp-analyze: allow(raw) identity-map check
               recs[0].ppn.raw());
     // Loads convert before stores: PteSet+read, then PteSet+write.
     EXPECT_EQ(recs[1].kind, ReplayKind::Mc);

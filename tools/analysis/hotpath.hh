@@ -24,24 +24,26 @@
  *                                 (push_back & co) on a receiver with
  *                                 no reserve() call in scope
  *   func       hotpath-func       std::function construction
- *   clock      hotpath-clock      <chrono> clocks, clock_gettime,
- *                                 gettimeofday
- *   rng        hotpath-rng        host RNG (random_device, mt19937,
- *                                 rand) — hopp::Pcg32 is the blessed
+ *   clock      hotpath-clock      chrono, and the wall-clock readers
+ *                                 of clockTokens() (file_rules.hh)
+ *   rng        hotpath-rng        mt19937 engines, and the host
+ *                                 randomness of rngTokens() —
+ *                                 hopp::Pcg32 is the blessed
  *                                 deterministic source
  *   unordered  hotpath-unordered  iteration over unordered containers
  *                                 (host-hash ordering leaks into
  *                                 event order)
- *   thread     hotpath-thread     thread/mutex/lock primitives
+ *   thread     hotpath-thread     the std:: primitives of
+ *                                 threadTokens()
  *   io         hotpath-io         iostream/stdio on the hot path
  *
  * Every diagnostic prints the complete root→sink call chain plus the
  * root's unresolved-call count (the honest-conservatism contract: a
  * clean run with a high unresolved count is weaker evidence than a
  * clean run with zero, and the reader gets to know which they have).
- * Suppression uses the standard justified-allow syntax on the sink
- * line; a missing config file skips the pass (trees without declared
- * hot paths have nothing to check).
+ * Suppression uses the one justified-allow syntax (model.hh) on or
+ * above the sink statement; a missing config file skips the pass
+ * (trees without declared hot paths have nothing to check).
  *
  * Extra rule outside the families: `hotpath-root` fires when a
  * declared root matches no function in the tree — a renamed hot loop
@@ -58,6 +60,7 @@
 #include <vector>
 
 #include "analysis/call_graph.hh"
+#include "analysis/file_rules.hh"
 #include "analysis/model.hh"
 #include "analysis/symbols.hh"
 
@@ -306,20 +309,15 @@ collectSinks(const SymbolIndex &sym, const CallNode &node,
 
         // --- clock ---------------------------------------------------
         if (want("clock") &&
-            (x == "chrono" || x == "steady_clock" ||
-             x == "system_clock" || x == "high_resolution_clock" ||
-             ((x == "clock_gettime" || x == "gettimeofday") &&
-              called))) {
+            (x == "chrono" || familyHas(clockTokens(), x, called))) {
             sinks.push_back({"clock", body[i].line,
                              "wall-clock access via '" + x + "'"});
             continue;
         }
 
         // --- rng -----------------------------------------------------
-        if (want("rng") &&
-            (x == "random_device" || x == "mt19937" ||
-             x == "mt19937_64" || x == "drand48" || x == "lrand48" ||
-             ((x == "rand" || x == "srand") && called))) {
+        if (want("rng") && (x == "mt19937" || x == "mt19937_64" ||
+                            familyHas(rngTokens(), x, called))) {
             sinks.push_back({"rng", body[i].line,
                              "host RNG via '" + x + "'"});
             continue;
@@ -364,10 +362,7 @@ collectSinks(const SymbolIndex &sym, const CallNode &node,
         }
 
         // --- thread --------------------------------------------------
-        if (want("thread") &&
-            (x == "thread" || x == "mutex" || x == "shared_mutex" ||
-             x == "lock_guard" || x == "unique_lock" ||
-             x == "scoped_lock" || x == "condition_variable") &&
+        if (want("thread") && threadTokens().count(x) != 0 &&
             (stdQual || next == "<")) {
             sinks.push_back({"thread", body[i].line,
                              "thread primitive 'std::" + x + "'"});

@@ -2,9 +2,9 @@
  * @file
  * Shared C++ token lexer for the project's static-analysis tools.
  *
- * hopp_lint and hopp_analyze both need to reason about source text
- * without being fooled by comments, string literals, raw strings, or
- * preprocessor line continuations. Line-regex scanning cannot tell
+ * hopp_analyze needs to reason about source text without being fooled
+ * by comments, string literals, raw strings, or preprocessor line
+ * continuations. Line-regex scanning cannot tell
  * `allow(` inside a string from `allow(` in a directive comment, or
  * `//` inside a raw string from a comment. This lexer produces a
  * full-fidelity token stream instead:

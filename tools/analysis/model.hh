@@ -2,21 +2,25 @@
  * @file
  * Source model shared by the hopp_analyze passes.
  *
- * hopp_analyze is a cross-translation-unit analyzer: every pass needs
- * the same view of the tree (all files lexed once, module = first path
- * component under the analyzed root) and the same diagnostic plumbing
+ * hopp_analyze loads a whole tree at once: every pass needs the same
+ * view of it (all files lexed once, module = first path component
+ * under the analyzed root) and the same diagnostic plumbing
  * (suppression comments, expect markers for the self-test). This
- * header provides both; the passes live in include_graph.hh and
- * stat_reset.hh.
+ * header provides both; the passes live in file_rules.hh,
+ * include_graph.hh, stat_reset.hh and hotpath.hh.
  *
- * Suppression mirrors hopp_lint's syntax under the tool's own prefix:
+ * One suppression syntax covers every rule of every pass:
  *
- *   // hopp-analyze: allow(<rule>[, <rule>...])   this or next line
+ *   // hopp-analyze: allow(<rule>[, <rule>...])   this statement
  *   // hopp-analyze: allow-file(<rule>)           whole file
  *
  * with `*` as a wildcard, and `hopp-analyze-expect(<rule>)` markers
- * driving `--self-test`. Directives are parsed from comment tokens
- * only, so nothing inside a string literal can suppress a finding.
+ * driving `--self-test`. A line allow covers its own line and the
+ * statement below it: the lines after it up to the first blank line or
+ * completed statement, at most 8, so one annotation above a wrapped
+ * call covers every continuation line. Directives are parsed from
+ * comment tokens only, so nothing inside a string literal can
+ * suppress a finding.
  */
 
 #pragma once
@@ -87,15 +91,15 @@ parseRuleList(const std::string &text, std::size_t open_paren)
 }
 
 /**
- * Parse `<prefix>: allow(...)` / `<prefix>: allow-file(...)` and
- * `<prefix>-expect(...)` from comment tokens, attributing each
- * directive to the physical line it sits on.
+ * Parse the allow / allow-file directives and expect markers (syntax
+ * above) from comment tokens, attributing each directive to the
+ * physical line it sits on.
  */
 inline Directives
-parseDirectives(const std::vector<Token> &comments, const char *prefix)
+parseDirectives(const std::vector<Token> &comments)
 {
-    const std::string kw = std::string(prefix) + ":";
-    const std::string expect_kw = std::string(prefix) + "-expect(";
+    const std::string kw = "hopp-analyze:";
+    const std::string expect_kw = "hopp-analyze-expect(";
     Directives d;
     for (const auto &tok : comments) {
         std::istringstream in(tok.text);
@@ -149,7 +153,70 @@ struct SourceFile
     std::vector<CodeToken> code;
     std::vector<Token> pp;      //!< PpDirective tokens, raw text
     Directives directives;
+    /// TokenStream::strippedLines(): comments and literal payloads
+    /// blanked, so line rules and statement ends see code only.
+    std::vector<std::string> lines;
+    /// Per line: whitespace only in the raw text (comments count).
+    std::vector<bool> blank;
+
+    /**
+     * Is `rule` suppressed at `line`: file-wide, on the line, or by an
+     * allow above it in the same statement? The walk up stops at a
+     * blank line, after a line whose code completes a statement
+     * (';', '{', '}'), and after 8 lines.
+     */
+    bool
+    allows(int line, const std::string &rule) const
+    {
+        if (listCovers(directives.fileAllows, rule))
+            return true;
+        auto allowedAt = [&](int n) {
+            auto it = directives.lineAllows.find(n);
+            return it != directives.lineAllows.end() &&
+                   listCovers(it->second, rule);
+        };
+        if (allowedAt(line))
+            return true;
+        // lines (one more than the newlines) never runs shorter than
+        // blank (one per getline).
+        for (int n = line - 1; n >= 1 && n >= line - 8; --n) {
+            auto at = static_cast<std::size_t>(n - 1);
+            if (at >= blank.size() || blank[at])
+                break;
+            if (allowedAt(n))
+                return true;
+            const std::string &code = lines[at];
+            std::size_t end = code.find_last_not_of(" \t");
+            if (end != std::string::npos && std::strchr(";{}", code[end]))
+                break;
+        }
+        return false;
+    }
 };
+
+/** Lex one file's source text; `rel` also names its module. */
+inline SourceFile
+lexFile(const std::string &rel, const std::string &src)
+{
+    TokenStream ts(src);
+    SourceFile f;
+    f.rel = rel;
+    std::size_t slash = rel.find('/');
+    if (slash != std::string::npos)
+        f.module = rel.substr(0, slash);
+    auto ext = std::filesystem::path(rel).extension().string();
+    f.header = ext == ".hh" || ext == ".hpp";
+    f.code = ts.code();
+    for (const auto &t : ts.all())
+        if (t.kind == TokKind::PpDirective)
+            f.pp.push_back(t);
+    f.lines = ts.strippedLines();
+    std::istringstream in(src);
+    for (std::string line; std::getline(in, line);)
+        f.blank.push_back(line.find_first_not_of(" \t") == std::string::npos);
+    f.directives = parseDirectives(ts.comments());
+    return f;
+}
 
 /** The whole analyzed tree, files sorted by relative path. */
 struct SourceTree
@@ -167,20 +234,13 @@ struct SourceTree
         return nullptr;
     }
 
-    /** Report unless suppressed on the line, one above, or file-wide. */
+    /** Report unless an allow directive covers `line` (see allows). */
     void
     report(const SourceFile &f, int line, const char *rule,
            std::string message)
     {
-        if (listCovers(f.directives.fileAllows, rule))
-            return;
-        for (int n : {line, line - 1}) {
-            auto it = f.directives.lineAllows.find(n);
-            if (it != f.directives.lineAllows.end() &&
-                listCovers(it->second, rule))
-                return;
-        }
-        diags.push_back({f.rel, line, rule, std::move(message)});
+        if (!f.allows(line, rule))
+            diags.push_back({f.rel, line, rule, std::move(message)});
     }
 };
 
@@ -214,23 +274,11 @@ loadTree(const std::filesystem::path &root)
             continue;
         std::ostringstream ss;
         ss << in.rdbuf();
-        TokenStream ts(ss.str());
-
-        SourceFile f;
+        std::string rel = fs::is_regular_file(root)
+                              ? p.filename().generic_string()
+                              : fs::relative(p, root).generic_string();
+        SourceFile f = lexFile(rel, ss.str());
         f.path = p;
-        f.rel = fs::is_regular_file(root)
-                    ? p.filename().generic_string()
-                    : fs::relative(p, root).generic_string();
-        std::size_t slash = f.rel.find('/');
-        f.module = slash == std::string::npos ? std::string()
-                                              : f.rel.substr(0, slash);
-        auto ext = p.extension().string();
-        f.header = ext == ".hh" || ext == ".hpp";
-        f.code = ts.code();
-        for (const auto &t : ts.all())
-            if (t.kind == TokKind::PpDirective)
-                f.pp.push_back(t);
-        f.directives = parseDirectives(ts.comments(), "hopp-analyze");
         tree.files.push_back(std::move(f));
     }
     return tree;

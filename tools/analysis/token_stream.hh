@@ -1,7 +1,6 @@
 /**
  * @file
- * Token-stream views and matching helpers shared by hopp_lint and
- * hopp_analyze.
+ * Token-stream views and matching helpers for hopp_analyze's passes.
  *
  * A TokenStream wraps one lexed file and offers the three views the
  * analysis tools consume:
@@ -10,10 +9,10 @@
  *     char literal *contents* replaced by an empty literal — rules
  *     match real code tokens, never prose or literal payloads;
  *   - strippedLines(): the file line by line with comments blanked to
- *     spaces and literal contents blanked in place — for the legacy
- *     line-window rules (layout and columns preserved exactly);
+ *     spaces and literal contents blanked in place — for the per-file
+ *     line rules (layout and columns preserved exactly);
  *   - comments(): comment tokens only — suppression directives like
- *     `// hopp-lint: allow(...)` are parsed from here, so a directive
+ *     `// hopp-analyze: allow(...)` are parsed from here, so a directive
  *     spelled inside a string literal can no longer suppress anything.
  *
  * ppText() flattens a preprocessor directive token: line continuations

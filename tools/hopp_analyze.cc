@@ -1,11 +1,14 @@
-// hopp-lint: allow-file(*)
+// hopp-analyze: allow-file(*)
 /**
  * @file
- * hopp_analyze — cross-translation-unit static analyzer for the HoPP
- * tree. Where hopp_lint checks one file at a time, this tool loads the
- * whole source tree (tools/analysis/model.hh), lexes every file with
- * the shared lexer, and runs passes that need the global view:
+ * hopp_analyze — the HoPP tree's one static analyzer. It loads each
+ * root as a whole tree (tools/analysis/model.hh), lexes every file once
+ * with the shared lexer, and runs its passes over it:
  *
+ *   file_rules.hh     per-file determinism and type discipline (raw
+ *                     RNG, wall clocks, unordered iteration, pointer
+ *                     keys, tagged-type escapes, thread primitives, ...)
+ *                     on every file of every root
  *   include_graph.hh  module layering against tools/analysis/layers.conf,
  *                     rooted include paths, one guard style, and
  *                     include-cycle detection
@@ -25,7 +28,10 @@
  *
  * With no --layers, ROOT/layers.conf is used when present; with no
  * --hotpaths, ROOT/hotpaths.conf — either file being absent skips
- * that pass (the remaining passes still run). --json prints the
+ * that pass (the remaining passes still run). A loaded layer contract
+ * also scopes the three tree passes: they run on a root only when the
+ * contract declares one of its modules, so `--layers ... src tools`
+ * checks tools/ with the per-file rules alone. --json prints the
  * findings as a machine-readable array (for CI annotations) instead
  * of the human lines. --self-test treats each immediate subdirectory
  * of FIXTURE_DIR as an independent tree and checks the emitted
@@ -43,11 +49,13 @@
 #include <vector>
 
 #include "analysis/call_graph.hh"
+#include "analysis/file_rules.hh"
 #include "analysis/hotpath.hh"
 #include "analysis/include_graph.hh"
 #include "analysis/model.hh"
 #include "analysis/stat_reset.hh"
 #include "analysis/symbols.hh"
+#include "obs/json.hh"
 
 namespace
 {
@@ -65,38 +73,11 @@ struct Options
     std::vector<std::string> roots;
 };
 
-/** Analyze one tree; returns its diagnostics, sorted. */
-std::vector<Diag>
-analyzeRoot(const fs::path &root, const Options &opt)
+/** The tree passes: layering and includes, stat resets, hot paths. */
+void
+treePasses(SourceTree &tree, const LayerConfig &cfg,
+           const HotpathConfig &hconf, const Options &opt)
 {
-    SourceTree tree = loadTree(root);
-
-    fs::path conf = opt.layersFile.empty() ? root / "layers.conf"
-                                           : fs::path(opt.layersFile);
-    LayerConfig cfg = loadLayerConfig(conf);
-    if (!cfg.error.empty()) {
-        std::fprintf(stderr, "hopp_analyze: %s: %s\n",
-                     conf.string().c_str(), cfg.error.c_str());
-        std::exit(2);
-    }
-    fs::path hconf_path = opt.hotpathsFile.empty()
-                              ? root / "hotpaths.conf"
-                              : fs::path(opt.hotpathsFile);
-    HotpathConfig hconf = loadHotpathConfig(hconf_path);
-    if (!hconf.error.empty()) {
-        std::fprintf(stderr, "hopp_analyze: %s\n", hconf.error.c_str());
-        std::exit(2);
-    }
-    if (opt.verbose) {
-        std::fprintf(
-            stderr,
-            "hopp_analyze: %s: %zu files, layers.conf %s, "
-            "hotpaths.conf %s\n",
-            root.string().c_str(), tree.files.size(),
-            cfg.loaded ? "loaded" : "absent (layering skipped)",
-            hconf.loaded ? "loaded" : "absent (hotpath skipped)");
-    }
-
     includeGraphPass(tree, cfg);
 
     SymbolIndex sym = buildSymbolIndex(tree);
@@ -131,7 +112,51 @@ analyzeRoot(const fs::path &root, const Options &opt)
                                  u.c_str());
         }
     }
+}
 
+/** Analyze one tree; returns its diagnostics, sorted. */
+std::vector<Diag>
+analyzeRoot(const fs::path &root, const Options &opt)
+{
+    SourceTree tree = loadTree(root);
+
+    fs::path conf = opt.layersFile.empty() ? root / "layers.conf"
+                                           : fs::path(opt.layersFile);
+    LayerConfig cfg = loadLayerConfig(conf);
+    if (!cfg.error.empty()) {
+        std::fprintf(stderr, "hopp_analyze: %s: %s\n",
+                     conf.string().c_str(), cfg.error.c_str());
+        std::exit(2);
+    }
+    fs::path hconf_path = opt.hotpathsFile.empty()
+                              ? root / "hotpaths.conf"
+                              : fs::path(opt.hotpathsFile);
+    HotpathConfig hconf = loadHotpathConfig(hconf_path);
+    if (!hconf.error.empty()) {
+        std::fprintf(stderr, "hopp_analyze: %s\n", hconf.error.c_str());
+        std::exit(2);
+    }
+    // A layer contract describes the tree whose modules it declares;
+    // another root (tools/ beside src/) gets the per-file rules only.
+    bool in_scope = !cfg.loaded ||
+                    std::any_of(tree.files.begin(), tree.files.end(),
+                                [&](const SourceFile &f) {
+                                    return cfg.layerOf.count(f.module) != 0;
+                                });
+    if (opt.verbose) {
+        std::fprintf(
+            stderr,
+            "hopp_analyze: %s: %zu files, layers.conf %s, "
+            "hotpaths.conf %s%s\n",
+            root.string().c_str(), tree.files.size(),
+            cfg.loaded ? "loaded" : "absent (layering skipped)",
+            hconf.loaded ? "loaded" : "absent (hotpath skipped)",
+            in_scope ? "" : "; no declared module, per-file rules only");
+    }
+
+    fileRulesPass(tree);
+    if (in_scope)
+        treePasses(tree, cfg, hconf, opt);
     std::sort(tree.diags.begin(), tree.diags.end());
     return tree.diags;
 }
@@ -145,38 +170,6 @@ printDiags(const std::vector<Diag> &diags, const std::string &prefix)
                     d.message.c_str());
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /**
  * Machine-readable findings: a JSON array, one object per diagnostic.
  * `path` is the repo-relative location CI can annotate (`file` is
@@ -187,26 +180,31 @@ void
 printJson(const std::vector<std::pair<std::string, std::vector<Diag>>>
               &by_root)
 {
-    std::printf("[");
+    using hopp::obs::json::appendQuoted;
+    std::string out = "[";
     bool first = true;
     for (const auto &[root, diags] : by_root) {
         for (const auto &d : diags) {
-            std::string path =
-                d.rule == "hotpath-root" || root == "."
-                    ? d.file
-                    : root + "/" + d.file;
-            std::printf("%s\n  {\"root\": \"%s\", \"file\": \"%s\", "
-                        "\"path\": \"%s\", \"line\": %d, "
-                        "\"rule\": \"%s\", \"message\": \"%s\"}",
-                        first ? "" : ",", jsonEscape(root).c_str(),
-                        jsonEscape(d.file).c_str(),
-                        jsonEscape(path).c_str(), d.line,
-                        d.rule.c_str(),
-                        jsonEscape(d.message).c_str());
+            std::string path = d.rule == "hotpath-root" || root == "."
+                                   ? d.file
+                                   : root + "/" + d.file;
+            out += first ? "\n  {\"root\": " : ",\n  {\"root\": ";
+            appendQuoted(out, root);
+            out += ", \"file\": ";
+            appendQuoted(out, d.file);
+            out += ", \"path\": ";
+            appendQuoted(out, path);
+            out += ", \"line\": " + std::to_string(d.line);
+            out += ", \"rule\": ";
+            appendQuoted(out, d.rule);
+            out += ", \"message\": ";
+            appendQuoted(out, d.message);
+            out += "}";
             first = false;
         }
     }
-    std::printf("%s]\n", first ? "" : "\n");
+    out += first ? "]\n" : "\n]\n";
+    std::fputs(out.c_str(), stdout);
 }
 
 /**

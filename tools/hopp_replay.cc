@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hh"
 #include "obs/trace_writer.hh"
 #include "runner/replay_engine.hh"
 #include "runner/sweep_pool.hh"
@@ -285,7 +286,9 @@ main(int argc, char **argv)
     std::string doc;
     doc += "{\n";
     doc += "  \"schema\": \"hopp-replay-v1\",\n";
-    doc += "  \"trace\": \"" + trace_path + "\",\n";
+    doc += "  \"trace\": ";
+    obs::json::appendQuoted(doc, trace_path);
+    doc += ",\n";
     doc += "  \"runs\": [\n";
     for (std::size_t i = 0; i < fragments.size(); ++i) {
         doc += fragments[i];

@@ -23,6 +23,8 @@
  *   hopp-sweep --workload microbench --scale 0.2 --out sweep.json
  */
 
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -71,6 +73,54 @@ parseSystem(const std::string &name)
             return kind;
     }
     hopp_fatal("unknown system '%s'", name.c_str());
+}
+
+/** Is @p s spelled as a JSON number: -?(0|[1-9]d*)(.d+)?([eE][+-]?d+)? */
+bool
+jsonNumber(const std::string &s)
+{
+    std::size_t i = 0;
+    auto digits = [&] {
+        std::size_t start = i;
+        while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i])))
+            ++i;
+        return i > start;
+    };
+    auto skip = [&](const char *set) {
+        if (i < s.size() && s[i] != '\0' && std::strchr(set, s[i]))
+            ++i;
+    };
+    skip("-");
+    if (i < s.size() && s[i] == '0')
+        ++i;
+    else if (!digits())
+        return false;
+    if (i < s.size() && s[i] == '.') {
+        ++i;
+        if (!digits())
+            return false;
+    }
+    if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+        ++i;
+        skip("+-");
+        if (!digits())
+            return false;
+    }
+    return i == s.size();
+}
+
+/**
+ * Parse one --ratio value into @p out. The whole text must be a number
+ * in (0, 1] spelled as a JSON number, because the document echoes it
+ * verbatim ("0.5abc", ".5" and "nan" are all refused).
+ */
+bool
+parseRatio(const std::string &text, double &out)
+{
+    if (!jsonNumber(text))
+        return false;
+    out = std::strtod(text.c_str(), nullptr);
+    return std::isfinite(out) && out > 0.0 && out <= 1.0;
 }
 
 /** One cell of the cross product. */
@@ -166,7 +216,15 @@ main(int argc, char **argv)
             systems.push_back(parseSystem(need(i)));
         } else if (arg == "--ratio") {
             std::string text = need(i);
-            ratios.emplace_back(text, std::atof(text.c_str()));
+            double ratio = 0.0;
+            if (!parseRatio(text, ratio)) {
+                std::fprintf(stderr,
+                             "hopp-sweep: --ratio '%s' is not a number "
+                             "in (0, 1]\n",
+                             text.c_str());
+                return 2;
+            }
+            ratios.emplace_back(text, ratio);
         } else if (arg == "--scale") {
             scale.footprint = std::atof(need(i));
         } else if (arg == "--iterations") {
