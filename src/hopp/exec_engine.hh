@@ -51,10 +51,13 @@ class ExecEngine : public PrefetchSink
     {
     }
 
-    /** Request a prefetch of (pid, vpn) on behalf of a stream. */
+    /**
+     * Request a prefetch of (pid, vpn) on behalf of a stream. A live
+     * pipeline has one backend, so @p cells is always bit 0.
+     */
     void
     request(Pid pid, Vpn vpn, std::uint64_t stream_id, Tier tier,
-            Tick now) override
+            Tick now, CellMask) override
     {
         TierStats &ts = tierStats_[static_cast<unsigned>(tier)];
         ++ts.requested;
@@ -85,7 +88,8 @@ class ExecEngine : public PrefetchSink
      */
     unsigned
     requestBatch(Pid pid, Vpn vpn, unsigned count,
-                 std::uint64_t stream_id, Tier tier, Tick now) override
+                 std::uint64_t stream_id, Tier tier, Tick now,
+                 CellMask) override
     {
         TierStats &ts = tierStats_[static_cast<unsigned>(tier)];
         ts.requested += count;

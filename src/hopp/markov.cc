@@ -23,6 +23,8 @@ setsFor(const MarkovConfig &cfg)
 MarkovTable::MarkovTable(const MarkovConfig &cfg)
     : cfg_(cfg), table_(setsFor(cfg), cfg.ways)
 {
+    hopp_assert(cfg.chainDepth <= maxMarkovDepth,
+                "Markov chain depth too large");
 }
 
 void
@@ -84,15 +86,13 @@ MarkovTable::dominant(Pid pid, Vpn vpn, Vpn &out)
     return true;
 }
 
-std::vector<Vpn>
-MarkovTable::predict(Pid pid, Vpn vpn, unsigned depth)
+MarkovTargets
+MarkovTable::predict(Pid pid, Vpn vpn, unsigned depth, unsigned readers)
 {
     if (depth == 0)
         depth = cfg_.chainDepth;
-    // Prediction list bounded by slots + chainDepth, built once per
-    // hot-page event on the software plane, returned to the caller.
-    // hopp-analyze: allow-file(hotpath-alloc)
-    std::vector<Vpn> out;
+    hopp_assert(depth <= maxMarkovDepth, "Markov chain depth too large");
+    MarkovTargets out;
     // Runner-up of the first hop, if it is also confident.
     if (Entry *e = table_.peek(vm::pageKey(pid, vpn))) {
         for (unsigned s = 0; s < MarkovConfig::slots; ++s) {
@@ -101,7 +101,7 @@ MarkovTable::predict(Pid pid, Vpn vpn, unsigned depth)
         }
     }
     if (out.empty()) {
-        ++stats_.misses;
+        stats_.misses += readers;
         return out;
     }
     // Greedy chain along dominant successors.
@@ -113,7 +113,7 @@ MarkovTable::predict(Pid pid, Vpn vpn, unsigned depth)
         out.push_back(next);
         cur = next;
     }
-    stats_.predictions += out.size();
+    stats_.predictions += out.size() * readers;
     return out;
 }
 

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hh"
 #include "mem/set_assoc.hh"
@@ -39,10 +38,39 @@ struct MarkovConfig
     /** Observations before a successor is considered predictable. */
     std::uint16_t minCount = 2;
 
-    /** Successor-chain depth followed per prediction. */
+    /** Successor-chain depth followed per prediction (at most
+     *  maxMarkovDepth). */
     unsigned chainDepth = 2;
 
     bool operator==(const MarkovConfig &) const = default;
+};
+
+/** Deepest successor chain one prediction follows. */
+inline constexpr unsigned maxMarkovDepth = 16;
+
+/**
+ * The pages one prediction returns, in a fixed-capacity buffer: the
+ * confident successors of the first hop, then the chain. Bounded by
+ * slots + maxMarkovDepth - 1, so a prediction never allocates.
+ */
+class MarkovTargets
+{
+  public:
+    static constexpr unsigned capacity =
+        MarkovConfig::slots + maxMarkovDepth - 1;
+
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    Vpn operator[](std::size_t i) const { return pages_[i]; }
+    Vpn front() const { return pages_[0]; }
+    const Vpn *begin() const { return pages_; }
+    const Vpn *end() const { return pages_ + size_; }
+
+    void push_back(Vpn v) { pages_[size_++] = v; }
+
+  private:
+    Vpn pages_[capacity];
+    unsigned size_ = 0;
 };
 
 /** Markov-table counters. */
@@ -50,8 +78,10 @@ struct MarkovStats
 {
     std::uint64_t trained = 0;
     std::uint64_t replaced = 0;    //!< successor slot repurposed
-    std::uint64_t predictions = 0; //!< pages returned by predict()
-    std::uint64_t misses = 0;      //!< predict() with no entry
+    /// Pages returned by predict(), once per reader served.
+    std::uint64_t predictions = 0;
+    /// predict() with no entry, once per reader served.
+    std::uint64_t misses = 0;
 };
 
 /**
@@ -68,11 +98,14 @@ class MarkovTable
     /**
      * Predict the likely successor chain of (pid, vpn): the dominant
      * successor, its dominant successor, and so on up to @p depth
-     * (cfg.chainDepth when 0), plus the runner-up of the first hop.
-     * Only peeks: the table's contents and LRU state are unchanged,
-     * so any number of readers may share one trained table.
+     * (cfg.chainDepth when 0; at most maxMarkovDepth), plus the
+     * runner-up of the first hop. Only peeks: the table's contents
+     * and LRU state are unchanged, so any number of readers may share
+     * one trained table, and one call may serve @p readers of them
+     * at once (the counters add up as if each had called).
      */
-    std::vector<Vpn> predict(Pid pid, Vpn vpn, unsigned depth = 0);
+    MarkovTargets predict(Pid pid, Vpn vpn, unsigned depth = 0,
+                          unsigned readers = 1);
 
     /** Counters. */
     const MarkovStats &stats() const { return stats_; }

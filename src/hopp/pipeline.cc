@@ -15,9 +15,10 @@ HotPagePipeline::HotPagePipeline(sim::EventQueue &eq, mem::Dram &dram,
                                  PrefetchSink &sink,
                                  const HoppConfig &cfg)
     : eq_(eq), dram_(dram), cfg_(cfg), ring_(cfg.ringCapacity),
-      sink_(sink)
+      sink_(sink), trainer_(sink)
 {
-    addBackend(policy, sink, cfg_);
+    trainer_.addBackend(policy, cfg_.stt, cfg_.tierMask, cfg_.batch,
+                        cfg_.markov);
     hopp_assert(cfg_.channels >= 1, "need at least one channel");
     hopp_assert((cfg_.channels & (cfg_.channels - 1)) == 0,
                 "channel count must be a power of two");
@@ -42,63 +43,16 @@ HotPagePipeline::HotPagePipeline(sim::EventQueue &eq, mem::Dram &dram,
 }
 
 std::size_t
-HotPagePipeline::sttGroupFor(const SttConfig &cfg)
-{
-    for (std::size_t i = 0; i < sttGroups_.size(); ++i) {
-        if (sttGroups_[i].cfg == cfg)
-            return i;
-    }
-    sttGroups_.push_back(
-        SttGroup{cfg, std::make_unique<Stt>(cfg), TierMemo{}});
-    return sttGroups_.size() - 1;
-}
-
-MarkovTable &
-HotPagePipeline::markovTableFor(const MarkovConfig &cfg)
-{
-    for (MarkovGroup &g : markovGroups_) {
-        if (g.cfg == cfg)
-            return *g.table;
-    }
-    markovGroups_.push_back(
-        MarkovGroup{cfg, std::make_unique<MarkovTable>(cfg), {}});
-    return *markovGroups_.back().table;
-}
-
-void
-HotPagePipeline::MarkovGroup::train(const HotPage &hp)
-{
-    const std::size_t known = lastHot.size();
-    Vpn &last = lastHot[hp.pid.raw()]; // hopp-analyze: allow(raw) map key
-    if (lastHot.size() == known && last != hp.vpn)
-        table->train(hp.pid, last, hp.vpn);
-    last = hp.vpn;
-}
-
-void
-HotPagePipeline::addBackend(PolicyEngine &policy, PrefetchSink &sink,
-                            const HoppConfig &soft)
-{
-    MarkovTable *markov = (soft.tierMask & tiers::markov)
-                              ? &markovTableFor(soft.markov)
-                              : nullptr;
-    backends_.push_back(Backend{
-        Trainer(policy, sink, soft.tierMask, soft.batch, markov),
-        sttGroupFor(soft.stt)});
-}
-
-std::size_t
-HotPagePipeline::addReplayBackend(PolicyEngine &policy,
-                                  PrefetchSink &sink,
-                                  const HoppConfig &soft)
+HotPagePipeline::addReplayBackend(const HoppConfig &soft)
 {
     // The frontend must not have run yet: a backend attached after the
     // first extraction would miss hot pages a solo run of its cell
     // would have seen, silently breaking the fidelity contract.
     hopp_assert(hotPagesSeen_ == 0 && ring_.pushed() == 0,
                 "backends must be attached before the first access");
-    addBackend(policy, sink, soft);
-    return backends_.size() - 1;
+    return trainer_.addBackend(trainer_.sharedPolicy(soft.policy),
+                               soft.stt, soft.tierMask, soft.batch,
+                               soft.markov);
 }
 
 HpdStats
@@ -185,18 +139,7 @@ HotPagePipeline::drainRing()
             if (lastHot_.size() >= warmPruneAt_)
                 pruneWarm(eq_.now());
         }
-        // Feed each distinct-config STT and train each distinct-config
-        // correlation table once; every backend of a group reads the
-        // same view, tier results and table — identical to each
-        // trainer keeping private copies, minus the per-backend work.
-        for (SttGroup &g : sttGroups_)
-            g.tiers.reset(g.stt->feed(hp->pid, hp->vpn));
-        for (MarkovGroup &m : markovGroups_)
-            m.train(*hp);
-        for (auto &backend : backends_) {
-            backend.trainer.onHotPage(
-                *hp, sttGroups_[backend.sttGroup].tiers, eq_.now());
-        }
+        trainer_.onHotPage(*hp, eq_.now());
     }
     if (trace_ && drained) {
         trace_->end("hopp", "trainer.drain", eq_.now(),
@@ -266,10 +209,7 @@ HotPagePipeline::resetStats()
         hpds_[c].resetStats();
         rptCaches_[c].resetStats();
     }
-    for (auto &g : sttGroups_)
-        g.stt->resetStats();
-    for (auto &backend : backends_)
-        backend.trainer.resetStats();
+    trainer_.resetStats();
     ring_.resetStats();
     unmapped_ = 0;
     hotPagesSeen_ = 0;
@@ -321,7 +261,7 @@ mcSideStatsJson(HotPagePipeline &p, std::size_t backend)
     put("stt_seeded", stt.seeded);
     put("stt_evicted", stt.evicted);
     put("stt_full_views", stt.fullViews);
-    const TrainerStats &tr = p.trainer(backend).stats();
+    const TrainerStats &tr = p.trainer().stats(backend);
     put("trainer_hot_pages", tr.hotPages);
     put("trainer_pred_ssp", tr.predictions[0]);
     put("trainer_pred_lsp", tr.predictions[1]);

@@ -18,7 +18,6 @@
 
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -112,12 +111,15 @@ struct HoppConfig
  * The *frontend* (per-channel HPD tables, the RPT and its caches, the
  * hot-page ring) is fixed hardware: its behaviour depends only on the
  * access/PTE stream and the hardware config. The *backend* (STT,
- * trainer, policy, sink) is the software half. Because the frontend
- * never observes the backend, one frontend can feed several backends
- * — that is how trace replay sweeps software policies in a single
- * pass over a recorded stream (addReplayBackend below): every cell
- * sees byte-identical frontend statistics, and each cell's trainer
- * stats match what a solo run of that cell would produce.
+ * trainer, policy, sink) is the software half, held by one Trainer.
+ * Because the frontend never observes the backend, one frontend can
+ * feed several backends — that is how trace replay sweeps software
+ * policies in a single pass over a recorded stream (addReplayBackend
+ * below): every cell sees byte-identical frontend statistics, and each
+ * cell's trainer stats match what a solo run of that cell would
+ * produce. Each ring drain hands every hot page to the Trainer once;
+ * it sends each distinct request once, with the CellMask of the
+ * backends it serves (bit 0 alone in a live run).
  */
 class HotPagePipeline
 {
@@ -187,33 +189,28 @@ class HotPagePipeline
     /** The configuration in effect. */
     const HoppConfig &config() const { return cfg_; }
     Stt &stt() { return stt(0); }
-    Trainer &trainer() { return backends_[0].trainer; }
+    /** The training loop of every backend (stats(i) per backend). */
+    Trainer &trainer() { return trainer_; }
     HotPageRing &ring() { return ring_; }
 
     /**
-     * Attach one more software backend (STT + trainer) to the shared
-     * hardware frontend. @p soft supplies the software half of the
-     * cell's configuration (stt, tierMask, batch, markov); the
+     * Attach one more software backend to the shared hardware
+     * frontend. @p soft supplies the software half of the cell's
+     * configuration (stt, tierMask, batch, markov, policy); the
      * hardware half (hpd, rptCache, channels, ring) is fixed by this
      * pipeline and the caller must not vary it across cells. Every
-     * ring drain feeds every backend, so each backend's trainer sees
-     * exactly the hot-page stream a solo pipeline would. Backends
-     * must be added before the first access. @return backend index.
+     * ring drain feeds every backend, so each backend sees exactly
+     * the hot-page stream a solo pipeline would. The backend reads its
+     * offsets from Trainer::sharedPolicy — backend 0's engine when the
+     * configs match — so replay backends only go on a pipeline whose
+     * policy receives no timeliness feedback. Backends must be added
+     * before the first access. @return backend index.
      */
-    std::size_t addReplayBackend(PolicyEngine &policy,
-                                 PrefetchSink &sink,
-                                 const HoppConfig &soft);
+    std::size_t addReplayBackend(const HoppConfig &soft);
 
     /** Number of software backends (1 unless fanned out). */
-    std::size_t backendCount() const { return backends_.size(); }
-    Stt &stt(std::size_t backend)
-    {
-        return *sttGroups_[backends_.at(backend).sttGroup].stt;
-    }
-    Trainer &trainer(std::size_t backend)
-    {
-        return backends_.at(backend).trainer;
-    }
+    std::size_t backendCount() const { return trainer_.backends(); }
+    Stt &stt(std::size_t backend) { return trainer_.stt(backend); }
 
     /** Hot pages whose PPN the RPT could not map (dropped). */
     std::uint64_t unmappedHotPages() const { return unmapped_; }
@@ -250,60 +247,6 @@ class HotPagePipeline
     void drainRing();
     void pruneWarm(Tick now);
 
-    /**
-     * One shared stream table: backends whose SttConfigs are equal see
-     * byte-identical STT behaviour on the shared hot-page stream, so
-     * they share one table and the per-hot-page clustering scan runs
-     * once per distinct config rather than once per backend. The memo
-     * is drain-loop scratch: the feed result every trainer of the
-     * group consumes for the current hot page, and the tier results
-     * computed on it so far (each tier runs at most once per hot page
-     * for the whole group; a trainer's mask picks the first success).
-     */
-    struct SttGroup
-    {
-        SttConfig cfg;
-        std::unique_ptr<Stt> stt;
-        TierMemo tiers;
-    };
-
-    /**
-     * One shared correlation table per distinct MarkovConfig, with the
-     * per-PID last hot page it learns transitions from. Training reads
-     * only the hot-page stream, and prediction only peeks, so every
-     * Markov-enabled backend of the group reads exactly the table a
-     * private copy would hold; the pipeline trains it once per hot
-     * page, before any backend runs. Its MarkovStats sum over the
-     * group's backends.
-     */
-    struct MarkovGroup
-    {
-        MarkovConfig cfg;
-        std::unique_ptr<MarkovTable> table;
-        /// Keyed by the raw pid.
-        FlatU64Map<Vpn> lastHot;
-
-        /** Learn the transition into @p hp of its pid's sequence. */
-        void train(const HotPage &hp);
-    };
-
-    /** One software cell: the trainer and its STT group. */
-    struct Backend
-    {
-        Trainer trainer;
-        std::size_t sttGroup;
-    };
-
-    /** Build and attach the backend of @p soft's software half. */
-    void addBackend(PolicyEngine &policy, PrefetchSink &sink,
-                    const HoppConfig &soft);
-
-    /** Index of the group serving @p cfg, creating it if new. */
-    std::size_t sttGroupFor(const SttConfig &cfg);
-
-    /** The shared table serving @p cfg, creating it if new. */
-    MarkovTable &markovTableFor(const MarkovConfig &cfg);
-
     sim::EventQueue &eq_;
     mem::Dram &dram_;
     HoppConfig cfg_;
@@ -314,9 +257,7 @@ class HotPagePipeline
     std::vector<RptCache> rptCaches_; // one per MC
     HotPageRing ring_;
     PrefetchSink &sink_;
-    std::vector<SttGroup> sttGroups_;
-    std::vector<MarkovGroup> markovGroups_;
-    std::vector<Backend> backends_;
+    Trainer trainer_;
     bool drainScheduled_ = false;
     std::uint64_t unmapped_ = 0;
     obs::Tracer *trace_ = nullptr;

@@ -83,6 +83,8 @@ struct PolicyConfig
 
     /** Disable offset adaptation (Fig. 22's fixed-offset ablation). */
     bool adaptive = true;
+
+    bool operator==(const PolicyConfig &) const = default;
 };
 
 /** Policy counters. */

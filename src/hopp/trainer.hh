@@ -4,14 +4,24 @@
  * the MC hardware deposits in reserved DRAM, clusters them into
  * streams via the STT, runs the enabled prefetch tiers, and forwards
  * policy-expanded prefetch requests to the execution engine.
+ *
+ * One Trainer runs the training loop of every software backend of a
+ * pipeline: one backend in a live run, one per policy cell in a
+ * replay fan-out. Per hot page it does each distinct piece of work
+ * once: one STT feed and tier scan per distinct SttConfig, one table
+ * update per distinct MarkovConfig, and one request list per group of
+ * backends that would emit the same list, sent once with the mask of
+ * the backends it serves (DESIGN.md §15 lists the grouping keys and
+ * why each is exact).
  */
 
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "common/flat_map.hh"
-#include "common/logging.hh"
 #include "hopp/algorithms.hh"
 #include "hopp/hot_page.hh"
 #include "hopp/markov.hh"
@@ -58,157 +68,182 @@ struct BatchConfig
 
     /** Issue a batch every this many hot pages of the stream. */
     unsigned everyHotPages = 32;
+
+    bool operator==(const BatchConfig &) const = default;
 };
 
 /**
- * The software training loop of one policy cell. Everything it reads
- * per hot page that does not depend on the cell is computed once by
- * the pipeline and shared: the STT feed and the tier results (a
- * TierMemo per distinct STT config), and the trained correlation
- * table (one MarkovTable per distinct MarkovConfig, see
- * HotPagePipeline). The trainer keeps only cell-private state: the
- * counters and the huge-batch countdowns.
+ * The software training loop of every backend of one pipeline.
+ *
+ * A backend is one software configuration: STT geometry, tier mask,
+ * huge-batch and Markov parameters, and the policy engine its offsets
+ * come from. Backends are grouped statically when attached — by STT
+ * config, then by (policy engine, batch config) for the tier path and
+ * by (Markov table, policy engine) for the correlation path — and
+ * dynamically per hot page by the tier each one resolves, so every
+ * request goes out once per group with the group's CellMask.
  */
 class Trainer
 {
   public:
-    /**
-     * @p markov is the shared, already-trained correlation table, or
-     * nullptr when @p tier_mask lacks tiers::markov.
-     */
-    Trainer(PolicyEngine &policy, PrefetchSink &exec,
-            unsigned tier_mask = tiers::all, BatchConfig batch = {},
-            MarkovTable *markov = nullptr)
-        : policy_(policy), exec_(exec), tierMask_(tier_mask),
-          batch_(batch), markov_(markov)
-    {
-        hopp_assert((markov_ != nullptr) ==
-                        ((tierMask_ & tiers::markov) != 0),
-                    "the Markov tier needs a table, and only it");
-    }
+    explicit Trainer(PrefetchSink &sink) : sink_(sink) {}
 
     /**
-     * Process one hot-page record. The STT feed already happened:
-     * @p memo holds its view and the tier results computed so far,
-     * and the correlation table already learned this hot page.
-     * Identical to feeding a private STT, running runThreeTier on the
-     * view and training a private table first.
+     * Attach one backend; @return its index (its bit in every
+     * CellMask). Backends given the same @p policy engine read the
+     * same offsets and so may share requests. Backends must all be
+     * attached before the first hot page.
      */
-    void
-    onHotPage(const HotPage &hp, TierMemo &memo, Tick now)
+    std::size_t addBackend(PolicyEngine &policy, const SttConfig &stt,
+                           unsigned tier_mask, const BatchConfig &batch,
+                           const MarkovConfig &markov);
+
+    /**
+     * The engine a backend that receives no timeliness feedback reads
+     * its offsets from: an attached engine with configuration @p cfg,
+     * else a new one owned here. Without feedback an engine's offsets
+     * depend only on its configuration, so sharing it is exact.
+     */
+    PolicyEngine &sharedPolicy(const PolicyConfig &cfg);
+
+    /**
+     * Process one hot-page record for every backend: feed each
+     * distinct STT and train each distinct correlation table once,
+     * then send each distinct request list once.
+     */
+    void onHotPage(const HotPage &hp, Tick now);
+
+    /** Number of backends. */
+    std::size_t backends() const { return backends_.size(); }
+
+    /** Counters of one backend. */
+    const TrainerStats &
+    stats(std::size_t backend = 0) const
     {
-        ++stats_.hotPages;
-        const std::optional<StreamView> &view = memo.view();
-        if (!view) {
-            // No stream context yet; the correlation tier can still
-            // act on a learned transition.
-            if (markov_)
-                predictMarkov(hp, now);
-            return;
-        }
-        auto pred = memo.runThreeTier(tierMask_);
-        if (!pred) {
-            if (markov_ && predictMarkov(hp, now))
-                return;
-            ++stats_.noPattern;
-            return;
-        }
-        ++stats_.predictions[static_cast<unsigned>(pred->tier)];
-        if (batch_.enabled) {
-            // Supplemental far-ahead coverage; the per-page path below
-            // still serves the near window (batched pages dedup).
-            maybeBatch(*view, *pred, now);
-        }
-        for (std::uint64_t off : policy_.offsets(view->streamId)) {
-            if (auto target = pred->target(off)) {
-                exec_.request(hp.pid, *target, view->streamId,
-                              pred->tier, now);
-            }
-        }
+        return backends_.at(backend).stats;
     }
 
-    /** Counters. */
-    const TrainerStats &stats() const { return stats_; }
+    /** The STT one backend reads (shared by equal SttConfigs). */
+    Stt &
+    stt(std::size_t backend = 0)
+    {
+        return *sttGroups_[backends_.at(backend).sttGroup].stt;
+    }
 
-    /** Zero the counters. */
-    void resetStats() { stats_ = TrainerStats{}; }
-
-    /** Enabled tiers. */
-    unsigned tierMask() const { return tierMask_; }
+    /** Zero every backend's counters and the STT counters. */
+    void resetStats();
 
   private:
-    /** Issue a huge batch for long unit-stride simple streams. */
-    void
-    maybeBatch(const StreamView &view, const Prediction &pred, Tick now)
+    /** One software cell: its STT group and counters. */
+    struct Backend
     {
-        if (pred.tier != Tier::Ssp ||
-            (pred.step != 1 && pred.step != -1) ||
-            view.length < batch_.minStreamLen) {
-            return;
-        }
-        std::uint64_t &countdown = batchCountdown_[view.streamId];
-        if (countdown > 0) {
-            --countdown;
-            return; // a recent batch still covers the far window
-        }
-        // A batch's data arrives only after the whole bundle
-        // serializes, so it must start at least one batch-width ahead
-        // of the consumption front or its leading pages arrive late.
-        std::uint64_t off = std::max<std::uint64_t>(
-            policy_.offsets(view.streamId).front(),
-            batch_.batchPages);
-        auto start = pred.target(off);
-        if (!start)
-            return;
-        Vpn first = pred.step > 0
-                        ? *start
-                        : (*start - Vpn{} >= batch_.batchPages - 1
-                               ? *start - (batch_.batchPages - 1)
-                               : Vpn{});
-        unsigned bundled = exec_.requestBatch(
-            view.pid, first, batch_.batchPages, view.streamId,
-            Tier::Ssp, now);
-        if (bundled == 0)
-            return;
-        ++stats_.batchesIssued;
-        countdown = batch_.everyHotPages;
-        if (batchCountdown_.size() > 4096)
-            batchCountdown_.clear();
-    }
+        std::size_t sttGroup;
+        TrainerStats stats;
+    };
+
+    /** The backends of an STT group whose three-tier mask is @c mask. */
+    struct MaskCells
+    {
+        unsigned mask;
+        CellMask cells;
+    };
 
     /**
-     * Correlation-tier prediction: chase the learned successor chain
-     * as deep as the stream-agnostic policy offset asks.
-     * @return true when at least one target was requested.
+     * Backends of one STT group with the same policy engine and the
+     * same effective batch config (disabled unless SSP is enabled):
+     * those that resolve the same tier on a hot page emit the same
+     * requests. The huge-batch countdowns are shared too: every
+     * member with batching on has SSP enabled, so all of them issue
+     * batches on exactly the hot pages SSP identifies, with the same
+     * view, prediction, offset and sink answer — one countdown
+     * evolves as each private one would.
      */
-    bool
-    predictMarkov(const HotPage &hp, Tick now)
+    struct TierClass
     {
-        // The correlation tier has no STT stream; key the policy
-        // offset on a per-PID pseudo-stream and chase the successor
-        // chain as deep as the adaptive offset asks.
-        // Pseudo-stream id packing. hopp-analyze: allow(raw)
-        std::uint64_t stream_id = (1ull << 62) | hp.pid.raw();
-        auto depth = static_cast<unsigned>(std::min<std::uint64_t>(
-            16, std::max<std::uint64_t>(
-                    2, policy_.offsets(stream_id).front())));
-        auto targets = markov_->predict(hp.pid, hp.vpn, depth);
-        if (targets.empty())
-            return false;
-        ++stats_.predictions[static_cast<unsigned>(Tier::Mkv)];
-        for (Vpn t : targets)
-            exec_.request(hp.pid, t, stream_id, Tier::Mkv, now);
-        return true;
-    }
+        PolicyEngine *policy;
+        BatchConfig batch;
+        CellMask cells = 0;
+        FlatU64Map<std::uint64_t> batchCountdown;
+    };
 
-    PolicyEngine &policy_;
-    PrefetchSink &exec_;
-    unsigned tierMask_;
-    BatchConfig batch_;
-    MarkovTable *markov_;
-    FlatU64Map<std::uint64_t> batchCountdown_;
-    TrainerStats stats_;
+    /**
+     * One shared stream table: backends whose SttConfigs are equal see
+     * byte-identical STT behaviour on the shared hot-page stream, so
+     * they share one table and the per-hot-page clustering scan runs
+     * once per distinct config. The memo holds the feed result for the
+     * current hot page and the tier results computed on it so far:
+     * each tier runs at most once per hot page for the whole group.
+     */
+    struct SttGroup
+    {
+        SttConfig cfg;
+        std::unique_ptr<Stt> stt;
+        TierMemo tiers;
+        CellMask cells = 0;      //!< every backend of the group
+        CellMask noTierCells = 0; //!< backends with no three-tier bit
+        std::vector<MaskCells> masks;
+        std::vector<TierClass> classes;
+    };
+
+    /**
+     * One shared correlation table per distinct MarkovConfig, with the
+     * per-PID last hot page it learns transitions from. Training reads
+     * only the hot-page stream, and prediction only peeks, so every
+     * backend of the group reads exactly the table a private copy
+     * would hold; it is trained once per hot page, before any request.
+     */
+    struct MarkovGroup
+    {
+        MarkovConfig cfg;
+        std::unique_ptr<MarkovTable> table;
+        /// Keyed by the raw pid.
+        FlatU64Map<Vpn> lastHot;
+
+        /** Learn the transition into @p hp of its pid's sequence. */
+        void train(const HotPage &hp);
+    };
+
+    /** Markov backends sharing one table and one policy engine. */
+    struct MarkovClass
+    {
+        MarkovTable *table;
+        PolicyEngine *policy;
+        CellMask cells = 0;
+    };
+
+    /** The group serving @p cfg, created if new. */
+    std::size_t sttGroupFor(const SttConfig &cfg);
+
+    /** The shared table serving @p cfg, created if new. */
+    MarkovTable &markovTableFor(const MarkovConfig &cfg);
+
+    /** Tier-path requests of @p cells, which resolved @p pred. */
+    void serveTier(TierClass &c, const StreamView &view,
+                   const Prediction &pred, const HotPage &hp, Tick now,
+                   CellMask cells);
+
+    /** Issue a huge batch for long unit-stride simple streams.
+     *  @return true when a batch went out. */
+    bool maybeBatch(TierClass &c, const StreamView &view,
+                    const Prediction &pred, Tick now, CellMask cells);
+
+    /**
+     * Correlation-path requests of @p cells: chase the learned
+     * successor chain as deep as the policy offset asks. Cells in
+     * @p viewed had a stream view, so a miss counts as no pattern.
+     */
+    void serveMarkov(const MarkovClass &c, const HotPage &hp, Tick now,
+                     CellMask cells, CellMask viewed);
+
+    PrefetchSink &sink_;
+    std::vector<Backend> backends_;
+    std::vector<SttGroup> sttGroups_;
+    std::vector<MarkovGroup> markovGroups_;
+    std::vector<MarkovClass> markovClasses_;
+    CellMask markovCells_ = 0; //!< backends with the Markov tier
+    /// Every engine a backend reads; owned_ holds those made here.
+    std::vector<PolicyEngine *> policies_;
+    std::vector<std::unique_ptr<PolicyEngine>> owned_;
 };
 
 } // namespace hopp::core
-

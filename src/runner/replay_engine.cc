@@ -41,26 +41,26 @@ sameHardware(const core::HoppConfig &a, const core::HoppConfig &b)
 } // namespace
 
 void
-ReplayEngine::CellSink::request(Pid pid, Vpn vpn, std::uint64_t,
-                                core::Tier, Tick now)
+ReplayEngine::request(Pid pid, Vpn vpn, std::uint64_t, core::Tier,
+                      Tick now, core::CellMask cells)
 {
-    engine->oracleRequest(cell, pid, vpn, now);
+    oracleRequest(pid, vpn, now, cells);
 }
 
 unsigned
-ReplayEngine::CellSink::requestBatch(Pid pid, Vpn vpn, unsigned count,
-                                     std::uint64_t, core::Tier,
-                                     Tick now)
+ReplayEngine::requestBatch(Pid pid, Vpn vpn, unsigned count,
+                           std::uint64_t, core::Tier, Tick now,
+                           core::CellMask cells)
 {
     for (unsigned i = 0; i < count; ++i)
-        engine->oracleRequest(cell, pid, vpn + i, now);
+        oracleRequest(pid, vpn + i, now, cells);
     return count;
 }
 
 std::size_t
-ReplayEngine::CellSink::outstanding() const
+ReplayEngine::outstanding() const
 {
-    return engine->cells_[cell]->outstanding;
+    return cells_[0].outstanding;
 }
 
 ReplayEngine::ReplayEngine(const ReplayConfig &cfg)
@@ -70,29 +70,22 @@ ReplayEngine::ReplayEngine(const ReplayConfig &cfg)
 
 ReplayEngine::ReplayEngine(const std::vector<ReplayConfig> &cells)
     : dram_(/*frames=*/1),
-      cells_([&cells] {
+      policy_([&cells] {
           hopp_assert(!cells.empty(), "need at least one replay cell");
           hopp_assert(cells.size() <= maxReplayCells,
                       "too many replay cells for one fan-out");
-          std::vector<std::unique_ptr<Cell>> built;
-          built.reserve(cells.size());
-          for (const ReplayConfig &c : cells)
-              built.push_back(std::make_unique<Cell>(c));
-          return built;
+          return cells[0].hopp.policy;
       }()),
-      pipeline_(eq_, dram_, cells_[0]->policy, cells_[0]->sink,
-                cells_[0]->cfg.hopp)
+      pipeline_(eq_, dram_, policy_, *this, cells[0].hopp)
 {
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-        Cell &cell = *cells_[i];
-        hopp_assert(
-            sameHardware(cells_[0]->cfg.hopp, cell.cfg.hopp),
-            "fan-out cells must share the hardware configuration");
-        cell.sink.engine = this;
-        cell.sink.cell = static_cast<unsigned>(i);
+    cells_.reserve(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const ReplayConfig &c = cells[i];
+        hopp_assert(sameHardware(cells[0].hopp, c.hopp),
+                    "fan-out cells must share the hardware configuration");
+        cells_.push_back(Cell{c.arrivalDelay, c.useWindow, {}});
         if (i != 0)
-            pipeline_.addReplayBackend(cell.policy, cell.sink,
-                                       cell.cfg.hopp);
+            pipeline_.addReplayBackend(c.hopp);
     }
 }
 
@@ -145,27 +138,32 @@ ReplayEngine::takeBlock()
 }
 
 void
-ReplayEngine::oracleRequest(unsigned cell, Pid pid, Vpn vpn, Tick now)
+ReplayEngine::oracleRequest(Pid pid, Vpn vpn, Tick now,
+                            core::CellMask cells)
 {
-    Cell &c = *cells_[cell];
-    ++c.result.requested;
     PageOracle &po = oracle_[pageIndex(vm::pageKey(pid, vpn))];
     if (po.pendingMask == 0)
         po.block = takeBlock();
-    const std::uint32_t bit = 1u << cell;
-    Tick &ready = ready_[po.block * cells_.size() + cell];
-    if (po.pendingMask & bit) {
-        // Re-requesting a page whose prediction was never consumed
-        // means the earlier prediction did not get used; charge it
-        // now so the ledger cannot double-count one demand against
-        // two requests.
-        if (ready != Tick{})
-            ++c.result.unused;
-    } else {
-        po.pendingMask |= bit;
-        ++c.outstanding;
+    Tick *ready = &ready_[po.block * cells_.size()];
+    // Cells already pending on the page are re-requesting it.
+    const core::CellMask again = cells & po.pendingMask;
+    po.pendingMask |= cells;
+    for (core::CellMask m = cells; m != 0; m &= m - 1) {
+        const auto i = static_cast<unsigned>(std::countr_zero(m));
+        Cell &c = cells_[i];
+        ++c.result.requested;
+        if (again & (core::CellMask{1} << i)) {
+            // Re-requesting a page whose prediction was never consumed
+            // means the earlier prediction did not get used; charge it
+            // now so the ledger cannot double-count one demand against
+            // two requests.
+            if (ready[i] != Tick{})
+                ++c.result.unused;
+        } else {
+            ++c.outstanding;
+        }
+        ready[i] = now + c.arrivalDelay;
     }
-    ready = now + c.cfg.arrivalDelay;
 }
 
 void
@@ -180,10 +178,10 @@ ReplayEngine::oracleDemand(PageOracle &po, Tick now)
         // cost nothing — that is the fan-out's scaling property.
         for (std::uint32_t m = pending; m != 0; m &= m - 1) {
             const auto i = static_cast<unsigned>(std::countr_zero(m));
-            Cell &c = *cells_[i];
+            Cell &c = cells_[i];
             if (now < ready[i])
                 ++c.result.late;
-            else if (now - ready[i] <= c.cfg.useWindow)
+            else if (now - ready[i] <= c.useWindow)
                 ++c.result.used;
             else
                 ++c.result.unused;
@@ -195,7 +193,7 @@ ReplayEngine::oracleDemand(PageOracle &po, Tick now)
         po.seen = true;
         ++demandPages_;
         for (std::uint32_t m = pending; m != 0; m &= m - 1)
-            ++cells_[std::countr_zero(m)]->result.coveredPages;
+            ++cells_[std::countr_zero(m)].result.coveredPages;
     }
 }
 
@@ -274,8 +272,8 @@ ReplayEngine::run(trace::TraceReader &reader)
     // when no events remain).
     while (eq_.runOne()) {
     }
-    for (auto &cell : cells_) {
-        ReplayResult &res = cell->result;
+    for (Cell &cell : cells_) {
+        ReplayResult &res = cell.result;
         res.records = records_;
         res.mcAccesses = mcAccesses_;
         res.pteEvents = pteEvents_;
@@ -283,7 +281,7 @@ ReplayEngine::run(trace::TraceReader &reader)
         res.demandPages = demandPages_;
         // Whatever is still outstanding was never consumed by a
         // demand.
-        res.unused += cell->outstanding;
+        res.unused += cell.outstanding;
     }
     return reader.status();
 }
@@ -297,7 +295,7 @@ ReplayEngine::mcStatsJson(std::size_t cell)
 std::string
 ReplayEngine::oracleJson(std::size_t cell) const
 {
-    const ReplayResult &result = cells_.at(cell)->result;
+    const ReplayResult &result = cells_.at(cell).result;
     std::string out;
     char buf[128];
     auto put = [&](const char *key, std::uint64_t v) {

@@ -19,27 +19,28 @@
  * share the hardware half (HPD geometry/threshold, RPT cache,
  * channels, ring, trainer delay) replays all of them in ONE pass —
  * the decode and the per-access HPD/RPT frontend are paid once, and
- * each hot page fans out to every cell's trainer
+ * each hot page goes to one Trainer that serves every cell
  * (HotPagePipeline::addReplayBackend). Per cell, both the MC-side
  * stats document and the oracle ledger are byte-identical to a solo
  * replay of that cell; the per-record cost of an extra cell is zero.
  * Cells only pay per hot page and per prediction, and even there the
  * work that does not depend on the cell is shared: the STT feed and
  * tier results once per distinct STT config, the correlation table
- * once per distinct Markov config (HotPagePipeline), and the oracle's
- * page lookups, whose per-cell arrival ticks sit side by side in one
- * ledger block. Each lookup is paid once per distinct page or frame,
- * not once per cell or per record: a direct-mapped memo in front of
- * the page table answers every cell's request for a page after the
- * first, and a run of demand reads of one frame shares one shadow
- * probe (DESIGN.md §15 gives the exactness argument for each). This
- * is what makes a software-policy sweep run at memory speed rather
- * than at simulation speed.
+ * once per distinct Markov config, and each request once per group of
+ * cells that would send it — the trainer hands the engine, which is
+ * the pipeline's PrefetchSink, one request with a CellMask, and the
+ * ledger updates every masked cell's arrival tick and counters in one
+ * loop over the mask. Each page lookup is paid once per distinct page
+ * or frame, not once per cell or per record: a direct-mapped memo in
+ * front of the page table answers repeated requests for a page, and a
+ * run of demand reads of one frame shares one shadow probe (DESIGN.md
+ * §15 gives the exactness argument for each). This is what makes a
+ * software-policy sweep run at memory speed rather than at simulation
+ * speed.
  */
 
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -99,15 +100,17 @@ struct ReplayResult
     }
 };
 
-/** Fan-out width limit (the per-page pending mask is 32 bits). */
-inline constexpr std::size_t maxReplayCells = 32;
+/** Fan-out width limit (one CellMask bit per cell). */
+inline constexpr std::size_t maxReplayCells = core::maxBackends;
 
 /**
  * One replay run: owns its own event queue, a traffic-accounting DRAM
  * shell, and the HotPagePipeline under test; with several cells, one
- * shared frontend and a software backend + oracle ledger per cell.
+ * shared frontend, one software backend per cell, and one oracle
+ * ledger the cells' grouped requests update by CellMask. The engine
+ * is the pipeline's PrefetchSink.
  */
-class ReplayEngine
+class ReplayEngine final : private core::PrefetchSink
 {
   public:
     ReplayEngine() : ReplayEngine(ReplayConfig{}) {}
@@ -137,16 +140,10 @@ class ReplayEngine
     /** Number of policy cells sharing the frontend. */
     std::size_t cells() const { return cells_.size(); }
 
-    /** Policy engine state after the run. */
-    core::PolicyEngine &policy(std::size_t cell = 0)
-    {
-        return cells_.at(cell)->policy;
-    }
-
     /** Replay counters and oracle metrics for one cell. */
     const ReplayResult &result(std::size_t cell = 0) const
     {
-        return cells_.at(cell)->result;
+        return cells_.at(cell).result;
     }
 
     /**
@@ -161,31 +158,21 @@ class ReplayEngine
     std::string oracleJson(std::size_t cell = 0) const;
 
   private:
-    /** The trainer requests of one cell land here. */
-    struct CellSink : core::PrefetchSink
-    {
-        void request(Pid pid, Vpn vpn, std::uint64_t stream_id,
-                     core::Tier tier, Tick now) override;
-        unsigned requestBatch(Pid pid, Vpn vpn, unsigned count,
-                              std::uint64_t stream_id, core::Tier tier,
-                              Tick now) override;
-        std::size_t outstanding() const override;
+    // PrefetchSink: a group of cells' trainer requests land here.
+    void request(Pid pid, Vpn vpn, std::uint64_t stream_id,
+                 core::Tier tier, Tick now,
+                 core::CellMask cells) override;
+    unsigned requestBatch(Pid pid, Vpn vpn, unsigned count,
+                          std::uint64_t stream_id, core::Tier tier,
+                          Tick now, core::CellMask cells) override;
+    /** Cell 0's pages with an un-demanded prediction. */
+    std::size_t outstanding() const override;
 
-        ReplayEngine *engine = nullptr;
-        unsigned cell = 0;
-    };
-
-    /** Per-cell state: configuration, policy, sink, ledger, result. */
+    /** Per-cell oracle windows and counters, kept by value. */
     struct Cell
     {
-        explicit Cell(const ReplayConfig &c)
-            : cfg(c), policy(c.hopp.policy)
-        {
-        }
-
-        ReplayConfig cfg;
-        core::PolicyEngine policy;
-        CellSink sink;
+        Duration arrivalDelay;
+        Duration useWindow;
         ReplayResult result;
         /// Pages with an un-demanded prediction of this cell.
         std::uint64_t outstanding = 0;
@@ -207,7 +194,8 @@ class ReplayEngine
     };
 
     void dispatch(const trace::ReplayRecord &r);
-    void oracleRequest(unsigned cell, Pid pid, Vpn vpn, Tick now);
+    /** Record a prediction of (pid, vpn) for every cell in @p cells. */
+    void oracleRequest(Pid pid, Vpn vpn, Tick now, core::CellMask cells);
     void oracleDemand(PageOracle &po, Tick now);
     /** The oracle_ slot of @p key, appended on its first sight. */
     std::uint32_t pageIndex(std::uint64_t key);
@@ -219,7 +207,10 @@ class ReplayEngine
     sim::EventQueue eq_;
     /// Traffic accounting only — no frame is ever allocated from it.
     mem::Dram dram_;
-    std::vector<std::unique_ptr<Cell>> cells_;
+    /// Cell 0's offsets; never fed back, so the other cells' backends
+    /// share it when their PolicyConfig matches.
+    core::PolicyEngine policy_;
+    std::vector<Cell> cells_;
     core::HotPagePipeline pipeline_;
 
     // Stream-level counters (identical for every cell; copied into

@@ -20,6 +20,8 @@ class ExecTest : public ::testing::Test
 {
   protected:
     static constexpr Pid pid{1};
+    /// The one backend of a live pipeline.
+    static constexpr CellMask cell0 = 1;
 
     ExecTest()
     {
@@ -73,7 +75,7 @@ class ExecTest : public ::testing::Test
 TEST_F(ExecTest, IssuesInjectionForSwappedPage)
 {
     Tick t = fill(9); // page 0 swapped out
-    exec->request(pid, Vpn{0}, /*stream=*/7, Tier::Ssp, t);
+    exec->request(pid, Vpn{0}, /*stream=*/7, Tier::Ssp, t, cell0);
     EXPECT_EQ(exec->tierStats(Tier::Ssp).issued, 1u);
     EXPECT_EQ(exec->outstanding(), 1u);
     eq->run();
@@ -82,8 +84,8 @@ TEST_F(ExecTest, IssuesInjectionForSwappedPage)
 TEST_F(ExecTest, DedupsResidentAndUntouchedPages)
 {
     Tick t = fill(4);
-    exec->request(pid, Vpn{2}, 7, Tier::Ssp, t);    // resident
-    exec->request(pid, Vpn{9999}, 7, Tier::Ssp, t); // untouched
+    exec->request(pid, Vpn{2}, 7, Tier::Ssp, t, cell0);    // resident
+    exec->request(pid, Vpn{9999}, 7, Tier::Ssp, t, cell0); // untouched
     EXPECT_EQ(exec->deduped(), 2u);
     EXPECT_EQ(exec->tierStats(Tier::Ssp).issued, 0u);
 }
@@ -91,8 +93,8 @@ TEST_F(ExecTest, DedupsResidentAndUntouchedPages)
 TEST_F(ExecTest, DedupsInflightRequests)
 {
     Tick t = fill(9);
-    exec->request(pid, Vpn{0}, 7, Tier::Ssp, t);
-    exec->request(pid, Vpn{0}, 7, Tier::Ssp, t); // duplicate while in flight
+    exec->request(pid, Vpn{0}, 7, Tier::Ssp, t, cell0);
+    exec->request(pid, Vpn{0}, 7, Tier::Ssp, t, cell0); // duplicate while in flight
     EXPECT_EQ(exec->deduped(), 1u);
     EXPECT_EQ(exec->tierStats(Tier::Ssp).issued, 1u);
     eq->run();
@@ -103,7 +105,7 @@ TEST_F(ExecTest, AdoptsSwapCachedPageInstantly)
     Tick t = fill(9);
     ASSERT_TRUE(vms->prefetchToSwapCache(pid, Vpn{0}, 2, t));
     eq->run();
-    exec->request(pid, Vpn{0}, 7, Tier::Lsp, eq->now());
+    exec->request(pid, Vpn{0}, 7, Tier::Lsp, eq->now(), cell0);
     const auto &ts = exec->tierStats(Tier::Lsp);
     EXPECT_EQ(ts.issued, 1u);
     EXPECT_EQ(ts.completed, 1u); // instantly complete
@@ -114,7 +116,7 @@ TEST_F(ExecTest, AdoptsSwapCachedPageInstantly)
 TEST_F(ExecTest, HitFeedsPolicyAndCountsPerTier)
 {
     Tick t = fill(9);
-    exec->request(pid, Vpn{0}, /*stream=*/42, Tier::Rsp, t);
+    exec->request(pid, Vpn{0}, /*stream=*/42, Tier::Rsp, t, cell0);
     eq->run(); // injection completes
     // Wire the VMS listener path manually: first touch fires
     // onPrefetchHit, which the HoppSystem would route to exec->onHit.
@@ -143,7 +145,7 @@ TEST_F(ExecTest, HitFeedsPolicyAndCountsPerTier)
 TEST_F(ExecTest, EvictionCountsUnused)
 {
     Tick t = fill(9);
-    exec->request(pid, Vpn{0}, 7, Tier::Ssp, t);
+    exec->request(pid, Vpn{0}, 7, Tier::Ssp, t, cell0);
     eq->run();
     struct Router : vm::PageEventListener
     {

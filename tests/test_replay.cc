@@ -33,15 +33,16 @@ tmpPath(const char *stem)
 /** Run @p workload live with recording on; return its MC-side doc. */
 std::string
 recordLive(const std::string &workload, SystemKind sys,
-           const std::string &trace_path, core::HoppConfig hopp = {})
+           const std::string &trace_path, core::HoppConfig hopp = {},
+           double footprint = 0.1, double iterations = 0.3)
 {
     MachineConfig cfg;
     cfg.system = sys;
     cfg.hopp = hopp;
     cfg.recordTracePath = trace_path;
     workloads::WorkloadScale scale;
-    scale.footprint = 0.1;
-    scale.iterations = 0.3;
+    scale.footprint = footprint;
+    scale.iterations = iterations;
     Machine machine(cfg);
     machine.addWorkload(workloads::makeWorkload(workload, scale, 43));
     machine.run();
@@ -66,11 +67,19 @@ replayed(const std::string &trace_path, core::HoppConfig hopp = {})
 
 /**
  * A fan-out grid shaped like a real policy sweep: every tier mask x
- * Markov on/off x huge-batch on/off. The Markov cells split across
- * two MarkovConfigs and every cell across two oracle arrival delays,
- * so the grid has both shared and distinct correlation tables, STT
- * groups whose cells read one tier memo under different masks, and
- * ledger blocks holding ticks of different windows side by side.
+ * Markov on/off x huge-batch on/off, with every key that decides
+ * whether two cells may share one request varied across cells that
+ * agree on the others:
+ *  - two STT geometries (mask 5 runs on the second), so the drain
+ *    serves more than one STT group;
+ *  - two MarkovConfigs (minCount by mask parity), so Markov cells
+ *    split across two correlation tables;
+ *  - two PolicyConfigs (masks 3 and 6 prefetch two pages from offset
+ *    3), so cells resolving the same tier differ only in the policy;
+ *  - two enabled BatchConfigs (masks 1 and 2 bundle fewer pages,
+ *    more often), so batch cells differ only in the batch geometry;
+ *  - two oracle arrival delays and two use windows, so ledger blocks
+ *    hold ticks of different windows side by side.
  */
 std::vector<ReplayConfig>
 sweepGrid()
@@ -84,13 +93,70 @@ sweepGrid()
                 cfg.hopp.batch.enabled = batch;
                 cfg.hopp.markov.minCount =
                     static_cast<std::uint16_t>(2 + (mask & 1));
+                if (mask == 5) {
+                    cfg.hopp.stt.historyLen = 12;
+                    cfg.hopp.stt.streamDelta = 16;
+                }
+                if (mask == 3 || mask == 6) {
+                    cfg.hopp.policy.intensity = 2;
+                    cfg.hopp.policy.offsetInit = 3.0;
+                }
+                if (batch && (mask == 1 || mask == 2)) {
+                    cfg.hopp.batch.batchPages = 16;
+                    cfg.hopp.batch.everyHotPages = 8;
+                }
                 if (cells.size() % 3 == 0)
                     cfg.arrivalDelay = 2'000;
+                if (cells.size() % 4 == 1)
+                    cfg.useWindow = 400'000;
                 cells.push_back(cfg);
             }
         }
     }
     return cells;
+}
+
+/**
+ * The benchmark's replay grid: cell 0 is the default configuration,
+ * the rest cross every other tier mask with the Markov tier and
+ * huge-batch issue on and off, all with default parameters — 28
+ * cells on one frontend.
+ */
+std::vector<ReplayConfig>
+benchGrid()
+{
+    std::vector<ReplayConfig> cells(1);
+    const core::HoppConfig dflt;
+    for (unsigned mask = 1; mask <= core::tiers::all; ++mask) {
+        for (unsigned mkv : {0u, core::tiers::markov}) {
+            for (bool batch : {false, true}) {
+                if (mask == dflt.tierMask && mkv == 0 &&
+                    batch == dflt.batch.enabled) {
+                    continue;
+                }
+                ReplayConfig cfg;
+                cfg.hopp.tierMask = mask | mkv;
+                cfg.hopp.batch.enabled = batch;
+                cells.push_back(cfg);
+            }
+        }
+    }
+    return cells;
+}
+
+/** The whole text of @p path ("" when it cannot be read). */
+std::string
+readFile(const std::string &path)
+{
+    std::string text;
+    if (FILE *f = std::fopen(path.c_str(), "rb")) {
+        char buf[4096];
+        std::size_t n;
+        while ((n = std::fread(buf, 1, sizeof(buf), f)) != 0)
+            text.append(buf, n);
+        std::fclose(f);
+    }
+    return text;
 }
 
 } // namespace
@@ -177,7 +243,7 @@ TEST(Replay, FanoutCellsMatchSoloReplays)
         EXPECT_EQ(fanout.oracleJson(i), solo.oracleJson())
             << "cell " << i;
         const core::TrainerStats &tr =
-            fanout.pipeline().trainer(i).stats();
+            fanout.pipeline().trainer().stats(i);
         markov_predictions +=
             tr.predictions[static_cast<unsigned>(core::Tier::Mkv)];
         batches += tr.batchesIssued;
@@ -187,6 +253,55 @@ TEST(Replay, FanoutCellsMatchSoloReplays)
     EXPECT_GT(markov_predictions, 0u);
     EXPECT_GT(batches, 0u);
     std::remove(path.c_str());
+}
+
+// Pins the benchmark-shaped grid across commits: every cell's MC-side
+// stats and oracle ledger from one fan-out pass over a small npb-mg
+// recording must match the checked-in capture byte for byte. The
+// fan-out test above compares the engine with itself; this one fails
+// when an optimisation changes any cell's numbers. On a mismatch the
+// document is written to the working directory; refresh
+// tests/golden/replay_grid28.json from it only with a deliberate
+// model change.
+TEST(Replay, BenchGridMatchesGolden)
+{
+    std::string path = tmpPath("grid28");
+    recordLive("npb-mg", SystemKind::Hopp, path, {}, 0.3, 1.0);
+    std::vector<ReplayConfig> cells = benchGrid();
+    ASSERT_EQ(cells.size(), 28u);
+    trace::TraceReader reader;
+    ASSERT_EQ(reader.open(path), trace::TraceIoStatus::Ok);
+    ReplayEngine engine(cells);
+    ASSERT_EQ(engine.run(reader), trace::TraceIoStatus::Ok);
+    std::remove(path.c_str());
+
+    std::string doc = "[\n";
+    std::uint64_t markov_predictions = 0;
+    std::uint64_t batches = 0;
+    for (std::size_t i = 0; i < engine.cells(); ++i) {
+        doc += engine.mcStatsJson(i) + ",\n" + engine.oracleJson(i);
+        doc += i + 1 < engine.cells() ? ",\n" : "]\n";
+        const core::TrainerStats &tr =
+            engine.pipeline().trainer().stats(i);
+        markov_predictions +=
+            tr.predictions[static_cast<unsigned>(core::Tier::Mkv)];
+        batches += tr.batchesIssued;
+    }
+    // The recording must exercise the Markov and huge-batch cells.
+    EXPECT_GT(markov_predictions, 0u);
+    EXPECT_GT(batches, 0u);
+    const std::string golden =
+        readFile(HOPP_GOLDEN_DIR "/replay_grid28.json");
+    if (doc != golden) {
+        FILE *f = std::fopen("replay_grid28.actual.json", "wb");
+        if (f) {
+            std::fwrite(doc.data(), 1, doc.size(), f);
+            std::fclose(f);
+        }
+    }
+    EXPECT_EQ(doc, golden)
+        << "differs from tests/golden/replay_grid28.json; the new "
+           "document is replay_grid28.actual.json";
 }
 
 TEST(Replay, FanoutRejectsMixedHardwareConfigs)

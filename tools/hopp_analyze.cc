@@ -31,7 +31,10 @@
  * that pass (the remaining passes still run). A loaded layer contract
  * also scopes the three tree passes: they run on a root only when the
  * contract declares one of its modules, so `--layers ... src tools`
- * checks tools/ with the per-file rules alone. --json prints the
+ * checks tools/ with the per-file rules alone. A ROOT that is a module
+ * directory or a file of a declared tree (`src/obs`,
+ * `src/obs/profiler.hh`) is analyzed inside that tree and reports its
+ * own findings; without a contract such a ROOT is a usage error. --json prints the
  * findings as a machine-readable array (for CI annotations) instead
  * of the human lines. --self-test treats each immediate subdirectory
  * of FIXTURE_DIR as an independent tree and checks the emitted
@@ -114,7 +117,64 @@ treePasses(SourceTree &tree, const LayerConfig &cfg,
     }
 }
 
-/** Analyze one tree; returns its diagnostics, sorted. */
+/** @p root as an absolute, normalized path with no trailing slash. */
+fs::path
+absoluteRoot(const fs::path &root)
+{
+    fs::path abs = fs::absolute(root).lexically_normal();
+    return abs.filename().empty() ? abs.parent_path() : abs;
+}
+
+/**
+ * The tree @p root belongs to when it is a subdirectory or a single
+ * file of one: the nearest ancestor in which the root's first path
+ * component is a module the loaded contract declares. Sets @p inner to
+ * the root's path inside that tree. @return false when there is none.
+ */
+bool
+enclosingTree(const fs::path &root, const LayerConfig &cfg,
+              fs::path &base, std::string &inner)
+{
+    const fs::path abs = absoluteRoot(root);
+    for (fs::path up = abs.parent_path();; up = up.parent_path()) {
+        const fs::path rel = abs.lexically_relative(up);
+        if (cfg.layerOf.count(rel.begin()->string()) != 0) {
+            base = up;
+            inner = rel.generic_string();
+            return true;
+        }
+        if (up == up.parent_path())
+            return false;
+    }
+}
+
+/**
+ * Whether a directory root is evidently a module directory of a larger
+ * tree: one of its files includes a path that starts with the root's
+ * own name (src/obs's files include "obs/...").
+ */
+bool
+looksLikeModuleDir(const fs::path &root, const SourceTree &tree)
+{
+    const std::string own = absoluteRoot(root).filename().string() + "/";
+    for (const SourceFile &f : tree.files) {
+        for (const auto &t : f.pp) {
+            if (quoteIncludeTarget(t.text).rfind(own, 0) == 0)
+                return true;
+        }
+    }
+    return false;
+}
+
+/**
+ * Analyze one root; returns its diagnostics, root-relative and sorted.
+ * A root is analyzed as a whole tree. A subdirectory or single file of
+ * a tree (`src/obs`, `src/obs/profiler.hh`) is analyzed inside the tree
+ * the loaded contract places it in, so its paths, modules, carve-outs
+ * and include targets read exactly as in a whole-tree run, and only
+ * its own findings are kept. Without a contract such a root cannot be
+ * placed and is a usage error.
+ */
 std::vector<Diag>
 analyzeRoot(const fs::path &root, const Options &opt)
 {
@@ -138,25 +198,60 @@ analyzeRoot(const fs::path &root, const Options &opt)
     }
     // A layer contract describes the tree whose modules it declares;
     // another root (tools/ beside src/) gets the per-file rules only.
-    bool in_scope = !cfg.loaded ||
-                    std::any_of(tree.files.begin(), tree.files.end(),
-                                [&](const SourceFile &f) {
-                                    return cfg.layerOf.count(f.module) != 0;
-                                });
+    auto declaresModule = [&] {
+        return std::any_of(tree.files.begin(), tree.files.end(),
+                           [&](const SourceFile &f) {
+                               return cfg.layerOf.count(f.module) != 0;
+                           });
+    };
+    const bool file_root = fs::is_regular_file(root);
+    bool in_scope = !cfg.loaded || (!file_root && declaresModule());
+    fs::path base;
+    std::string inner; // the root's path inside its tree, if not one
+    if (cfg.loaded && !in_scope && enclosingTree(root, cfg, base, inner)) {
+        tree = loadTree(base);
+        in_scope = true;
+    } else if (!cfg.loaded &&
+               (file_root || looksLikeModuleDir(root, tree))) {
+        std::fprintf(stderr,
+                     "hopp_analyze: %s: not a source-tree root (a %s of "
+                     "one); analyze the tree, or pass --layers so its "
+                     "module can be derived\n",
+                     root.string().c_str(),
+                     file_root ? "file" : "module directory");
+        std::exit(2);
+    }
     if (opt.verbose) {
         std::fprintf(
             stderr,
             "hopp_analyze: %s: %zu files, layers.conf %s, "
-            "hotpaths.conf %s%s\n",
+            "hotpaths.conf %s%s%s%s\n",
             root.string().c_str(), tree.files.size(),
             cfg.loaded ? "loaded" : "absent (layering skipped)",
             hconf.loaded ? "loaded" : "absent (hotpath skipped)",
-            in_scope ? "" : "; no declared module, per-file rules only");
+            in_scope ? "" : "; no declared module, per-file rules only",
+            inner.empty() ? "" : "; analyzed inside ",
+            inner.empty() ? "" : base.string().c_str());
     }
 
     fileRulesPass(tree);
     if (in_scope)
         treePasses(tree, cfg, hconf, opt);
+    if (!inner.empty()) {
+        // Keep the root's own findings, with root-relative paths.
+        std::vector<Diag> own;
+        for (Diag &d : tree.diags) {
+            if (d.file == inner) {
+                d.file = fs::path(inner).filename().generic_string();
+            } else if (d.file.rfind(inner + "/", 0) == 0) {
+                d.file.erase(0, inner.size() + 1);
+            } else {
+                continue;
+            }
+            own.push_back(std::move(d));
+        }
+        tree.diags = std::move(own);
+    }
     std::sort(tree.diags.begin(), tree.diags.end());
     return tree.diags;
 }

@@ -32,6 +32,7 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -56,11 +57,12 @@ usage(const char *argv0)
         "usage: %s --trace FILE [options]\n"
         "  --trace FILE        recorded trace to replay (with\n"
         "                      --import-champsim: the output path)\n"
-        "  --tiers MASK        tier bitmask grid axis (repeatable;"
-        " default 7)\n"
-        "  --threshold N       HPD threshold grid axis (repeatable;"
-        " default 8)\n"
-        "  --channels N        memory channels (default 1)\n"
+        "  --tiers MASK        tier bitmask 1..15 grid axis"
+        " (repeatable; default 7)\n"
+        "  --threshold N       HPD threshold >= 1 grid axis"
+        " (repeatable; default 8)\n"
+        "  --channels N        memory channels, a power of two"
+        " 1..64 (default 1)\n"
         "  --no-interleave     per-page channel layout\n"
         "  --markov            add the Markov tier to every cell\n"
         "  --jobs N            host worker threads (default 1; 0 ="
@@ -71,7 +73,8 @@ usage(const char *argv0)
         " (single-cell grids only)\n"
         "  --import-champsim IN  convert a ChampSim binary trace to"
         " the replay format and exit\n"
-        "  --pid N             pid for imported records (default 1)\n"
+        "  --pid N             pid 0..65535 for imported records"
+        " (default 1)\n"
         "  --tick-per-instr NS imported inter-instruction time"
         " (default 4)\n",
         argv0);
@@ -98,6 +101,26 @@ indent(const std::string &text, int pad)
     return out;
 }
 
+/**
+ * Parse a whole decimal integer in [@p lo, @p hi] into @p out. Signs,
+ * blanks, trailing text and out-of-range values are refused, so a
+ * typo never runs as 0 or as a wrapped-around huge value.
+ */
+bool
+parseBounded(const char *text, std::uint64_t lo, std::uint64_t hi,
+             std::uint64_t &out)
+{
+    if (*text < '0' || *text > '9')
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (errno != 0 || *end != '\0' || v < lo || v > hi)
+        return false;
+    out = v;
+    return true;
+}
+
 } // namespace
 
 int
@@ -119,27 +142,50 @@ main(int argc, char **argv)
         }
         return argv[++i];
     };
+    // The value of flag argv[i], which must be an integer in [lo, hi];
+    // anything else is a usage error naming the flag.
+    auto number = [&](int &i, std::uint64_t lo, std::uint64_t hi,
+                      const char *what) -> std::uint64_t {
+        const char *flag = argv[i];
+        const char *text = need(i);
+        std::uint64_t v = 0;
+        if (!parseBounded(text, lo, hi, v)) {
+            std::fprintf(stderr, "hopp-replay: %s '%s' is not %s\n",
+                         flag, text, what);
+            std::exit(2);
+        }
+        return v;
+    };
+    constexpr std::uint64_t u32max = 0xFFFFFFFFull;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--trace") {
             trace_path = need(i);
         } else if (arg == "--tiers") {
-            tier_masks.push_back(
-                static_cast<unsigned>(std::atoi(need(i))));
+            tier_masks.push_back(static_cast<unsigned>(
+                number(i, 1, 15, "a tier mask in 1..15")));
         } else if (arg == "--threshold") {
-            thresholds.push_back(
-                static_cast<unsigned>(std::atoi(need(i))));
+            thresholds.push_back(static_cast<unsigned>(
+                number(i, 1, u32max, "a threshold >= 1")));
         } else if (arg == "--channels") {
-            base.hopp.channels =
-                static_cast<unsigned>(std::atoi(need(i)));
+            const std::uint64_t n =
+                number(i, 1, 64, "a power of two in 1..64");
+            if ((n & (n - 1)) != 0) {
+                std::fprintf(stderr, "hopp-replay: --channels '%llu' is"
+                                     " not a power of two in 1..64\n",
+                             static_cast<unsigned long long>(n));
+                return 2;
+            }
+            base.hopp.channels = static_cast<unsigned>(n);
         } else if (arg == "--no-interleave") {
             base.hopp.channelInterleaved = false;
         } else if (arg == "--markov") {
             markov = true;
         } else if (arg == "--jobs") {
-            int n = std::atoi(need(i));
-            jobs = n <= 0 ? SweepPool::hardwareJobs()
+            const std::uint64_t n =
+                number(i, 0, u32max, "a worker count (0 = all cores)");
+            jobs = n == 0 ? SweepPool::hardwareJobs()
                           : static_cast<unsigned>(n);
         } else if (arg == "--out") {
             out_path = need(i);
@@ -148,11 +194,10 @@ main(int argc, char **argv)
         } else if (arg == "--import-champsim") {
             champsim_in = need(i);
         } else if (arg == "--pid") {
-            champsim_pid =
-                static_cast<std::uint64_t>(std::atoll(need(i)));
+            champsim_pid = number(i, 0, 0xFFFF, "a pid in 0..65535");
         } else if (arg == "--tick-per-instr") {
-            tick_per_instr =
-                static_cast<Duration>(std::atoll(need(i)));
+            tick_per_instr = static_cast<Duration>(
+                number(i, 0, ~std::uint64_t{0}, "a tick count"));
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
