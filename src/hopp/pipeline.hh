@@ -202,9 +202,10 @@ class HotPagePipeline
      * ring drain feeds every backend, so each backend sees exactly
      * the hot-page stream a solo pipeline would. The backend reads its
      * offsets from Trainer::sharedPolicy — backend 0's engine when the
-     * configs match — so replay backends only go on a pipeline whose
-     * policy receives no timeliness feedback. Backends must be added
-     * before the first access. @return backend index.
+     * configs match — which marks that engine shared: feedback into
+     * it panics, so replay backends only go on a pipeline whose policy
+     * receives no timeliness feedback. Backends must be added before
+     * the first access. @return backend index.
      */
     std::size_t addReplayBackend(const HoppConfig &soft);
 

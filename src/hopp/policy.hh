@@ -17,6 +17,7 @@
 #include <cstdint>
 
 #include "common/flat_map.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace hopp::core
@@ -121,6 +122,8 @@ class PolicyEngine
     void
     feedback(std::uint64_t stream_id, Tick ready_at, Tick hit_at)
     {
+        hopp_assert(!shared_, "feedback into a policy engine shared by "
+                              "replay backends");
         ++stats_.feedbacks;
         if (!cfg_.adaptive)
             return;
@@ -162,6 +165,13 @@ class PolicyEngine
     /** Configuration. */
     const PolicyConfig &config() const { return cfg_; }
 
+    /**
+     * Let several backends read this engine's offsets. Its offsets
+     * then must depend on its configuration alone, so a shared engine
+     * refuses feedback.
+     */
+    void markShared() { shared_ = true; }
+
   private:
     struct State
     {
@@ -186,6 +196,7 @@ class PolicyEngine
     PolicyConfig cfg_;
     FlatU64Map<State> offset_;
     PolicyStats stats_;
+    bool shared_ = false;
 };
 
 } // namespace hopp::core

@@ -61,13 +61,16 @@ Trainer::MarkovGroup::train(const HotPage &hp)
 PolicyEngine &
 Trainer::sharedPolicy(const PolicyConfig &cfg)
 {
-    for (PolicyEngine *p : policies_) {
-        if (p->config() == cfg)
-            return *p;
+    auto p = std::find_if(policies_.begin(), policies_.end(),
+                          [&cfg](const PolicyEngine *e) {
+                              return e->config() == cfg;
+                          });
+    if (p == policies_.end()) {
+        owned_.push_back(std::make_unique<PolicyEngine>(cfg));
+        p = policies_.insert(p, owned_.back().get());
     }
-    owned_.push_back(std::make_unique<PolicyEngine>(cfg));
-    policies_.push_back(owned_.back().get());
-    return *owned_.back();
+    (*p)->markShared();
+    return **p;
 }
 
 std::size_t

@@ -102,7 +102,8 @@ class Trainer
      * The engine a backend that receives no timeliness feedback reads
      * its offsets from: an attached engine with configuration @p cfg,
      * else a new one owned here. Without feedback an engine's offsets
-     * depend only on its configuration, so sharing it is exact.
+     * depend only on its configuration, so sharing it is exact; the
+     * engine is marked shared, and feedback into it panics.
      */
     PolicyEngine &sharedPolicy(const PolicyConfig &cfg);
 

@@ -2,12 +2,14 @@
  * @file
  * Unit tests for the prefetch policy engine (§III-E): offset
  * adaptation under timeliness feedback, epoch averaging, clamping,
- * intensity.
+ * intensity, and the feedback ban on engines shared by replay
+ * backends.
  */
 
 #include <gtest/gtest.h>
 
 #include "hopp/policy.hh"
+#include "hopp/trainer.hh"
 
 using namespace hopp;
 using namespace hopp::core;
@@ -25,6 +27,19 @@ perSample(double offset_init = 1.0)
     cfg.offsetInit = offset_init;
     return PolicyEngine(cfg);
 }
+
+/** A sink for a trainer that never sees a hot page. */
+class NullSink : public PrefetchSink
+{
+  public:
+    void request(Pid, Vpn, std::uint64_t, Tier, Tick, CellMask) override {}
+    unsigned
+    requestBatch(Pid, Vpn, unsigned, std::uint64_t, Tier, Tick,
+                 CellMask) override
+    {
+        return 0;
+    }
+};
 
 } // namespace
 
@@ -154,4 +169,24 @@ TEST(Policy, OffsetsRoundToNearest)
     EXPECT_EQ(pe.offsets(1)[0], 2u);
     pe.feedback(1, Tick{}, Tick{}); // 2.88
     EXPECT_EQ(pe.offsets(1)[0], 3u);
+}
+
+TEST(Policy, SharedEngineRefusesFeedback)
+{
+    NullSink sink;
+    Trainer trainer(sink);
+    PolicyEngine live;
+    trainer.addBackend(live, SttConfig{}, tiers::all, BatchConfig{},
+                       MarkovConfig{});
+    PolicyConfig other;
+    other.intensity = 2;
+    // A replay backend with another config gets an engine of its own:
+    // the attached engine still adapts.
+    EXPECT_NE(&trainer.sharedPolicy(other), &live);
+    live.feedback(1, Tick{100_us}, Tick{110_us});
+    EXPECT_EQ(live.stats().feedbacks, 1u);
+    // One with the same config reads the attached engine, which from
+    // then on must not adapt.
+    EXPECT_EQ(&trainer.sharedPolicy(live.config()), &live);
+    EXPECT_DEATH(live.feedback(1, Tick{100_us}, Tick{110_us}), "shared");
 }

@@ -31,19 +31,22 @@
  * that pass (the remaining passes still run). A loaded layer contract
  * also scopes the three tree passes: they run on a root only when the
  * contract declares one of its modules, so `--layers ... src tools`
- * checks tools/ with the per-file rules alone. A ROOT that is a module
- * directory or a file of a declared tree (`src/obs`,
+ * checks tools/ with the per-file rules alone. With a contract, a ROOT
+ * that is a module directory or a file of a declared tree (`src/obs`,
  * `src/obs/profiler.hh`) is analyzed inside that tree and reports its
- * own findings; without a contract such a ROOT is a usage error. --json prints the
- * findings as a machine-readable array (for CI annotations) instead
- * of the human lines. --self-test treats each immediate subdirectory
- * of FIXTURE_DIR as an independent tree and checks the emitted
- * diagnostics against `hopp-analyze-expect(rule)` markers.
+ * own findings; without one a module directory is its own tree (so
+ * module directories need --layers) and a file ROOT is a usage error.
+ * --json prints the findings as a machine-readable array (for CI
+ * annotations) instead of the human lines. --self-test treats each
+ * immediate subdirectory of FIXTURE_DIR as an independent tree and
+ * checks the emitted diagnostics against `hopp-analyze-expect(rule)`
+ * markers.
  *
  * Exit codes: 0 clean, 1 violations (or self-test mismatch), 2 usage /
  * IO error.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -127,18 +130,30 @@ absoluteRoot(const fs::path &root)
 
 /**
  * The tree @p root belongs to when it is a subdirectory or a single
- * file of one: the nearest ancestor in which the root's first path
- * component is a module the loaded contract declares. Sets @p inner to
- * the root's path inside that tree. @return false when there is none.
+ * file of one: the nearest ancestor that holds a directory for every
+ * module the loaded contract declares, with the root inside one of
+ * them. Requiring the whole module set keeps a stray ancestor that
+ * merely shares a module's name (a checkout under `/home/runner`) from
+ * being taken for the tree. Sets @p inner to the root's path inside
+ * that tree. @return false when there is none.
  */
 bool
 enclosingTree(const fs::path &root, const LayerConfig &cfg,
               fs::path &base, std::string &inner)
 {
     const fs::path abs = absoluteRoot(root);
+    auto holdsEveryModule = [&cfg](const fs::path &dir) {
+        std::error_code ec;
+        return std::all_of(cfg.layerOf.begin(), cfg.layerOf.end(),
+                           [&](const auto &module) {
+                               return fs::is_directory(dir / module.first,
+                                                       ec);
+                           });
+    };
     for (fs::path up = abs.parent_path();; up = up.parent_path()) {
         const fs::path rel = abs.lexically_relative(up);
-        if (cfg.layerOf.count(rel.begin()->string()) != 0) {
+        if (cfg.layerOf.count(rel.begin()->string()) != 0 &&
+            holdsEveryModule(up)) {
             base = up;
             inner = rel.generic_string();
             return true;
@@ -149,31 +164,15 @@ enclosingTree(const fs::path &root, const LayerConfig &cfg,
 }
 
 /**
- * Whether a directory root is evidently a module directory of a larger
- * tree: one of its files includes a path that starts with the root's
- * own name (src/obs's files include "obs/...").
- */
-bool
-looksLikeModuleDir(const fs::path &root, const SourceTree &tree)
-{
-    const std::string own = absoluteRoot(root).filename().string() + "/";
-    for (const SourceFile &f : tree.files) {
-        for (const auto &t : f.pp) {
-            if (quoteIncludeTarget(t.text).rfind(own, 0) == 0)
-                return true;
-        }
-    }
-    return false;
-}
-
-/**
  * Analyze one root; returns its diagnostics, root-relative and sorted.
- * A root is analyzed as a whole tree. A subdirectory or single file of
- * a tree (`src/obs`, `src/obs/profiler.hh`) is analyzed inside the tree
- * the loaded contract places it in, so its paths, modules, carve-outs
- * and include targets read exactly as in a whole-tree run, and only
- * its own findings are kept. Without a contract such a root cannot be
- * placed and is a usage error.
+ * A directory root is analyzed as a whole tree. With a contract, a
+ * root that declares none of its modules but lies inside a tree that
+ * does (`src/obs`, `src/obs/profiler.hh`) is analyzed inside that
+ * tree, so its paths, modules, carve-outs and include targets read
+ * exactly as in a whole-tree run, and only its own findings are kept.
+ * Without a contract nothing places a root in a larger tree: a module
+ * directory is analyzed as a tree of its own, and a file root, which
+ * has no module at all, is a usage error.
  */
 std::vector<Diag>
 analyzeRoot(const fs::path &root, const Options &opt)
@@ -211,14 +210,12 @@ analyzeRoot(const fs::path &root, const Options &opt)
     if (cfg.loaded && !in_scope && enclosingTree(root, cfg, base, inner)) {
         tree = loadTree(base);
         in_scope = true;
-    } else if (!cfg.loaded &&
-               (file_root || looksLikeModuleDir(root, tree))) {
+    } else if (!cfg.loaded && file_root) {
         std::fprintf(stderr,
-                     "hopp_analyze: %s: not a source-tree root (a %s of "
-                     "one); analyze the tree, or pass --layers so its "
+                     "hopp_analyze: %s: a file is not a source-tree "
+                     "root; analyze its tree, or pass --layers so its "
                      "module can be derived\n",
-                     root.string().c_str(),
-                     file_root ? "file" : "module directory");
+                     root.string().c_str());
         std::exit(2);
     }
     if (opt.verbose) {
