@@ -20,8 +20,7 @@
  *    merged into a retired accumulator so no samples are lost.
  *  - `collect()` merges live + retired tables into a `Report`;
  *    `toJson(report)` renders the deterministic-ordered JSON that
- *    `hopp-run --profile-out` and `bench_simcore` emit and
- *    `hopp-report` consumes.
+ *    `hopp-run --profile-out` emits and `hopp-report` consumes.
  *  - Re-entrant zones (e.g. a zone entered again underneath itself)
  *    count every entry but only the outermost activation accumulates
  *    wall time, so totals never double-count.

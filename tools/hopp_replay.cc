@@ -32,12 +32,11 @@
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "obs/json.hh"
 #include "obs/trace_writer.hh"
 #include "runner/replay_engine.hh"
@@ -80,47 +79,6 @@ usage(const char *argv0)
         argv0);
 }
 
-/** Indent every line of a rendered JSON block by @p pad spaces. */
-std::string
-indent(const std::string &text, int pad)
-{
-    std::string out;
-    std::string prefix(static_cast<std::size_t>(pad), ' ');
-    std::size_t start = 0;
-    while (start < text.size()) {
-        std::size_t nl = text.find('\n', start);
-        if (nl == std::string::npos)
-            nl = text.size();
-        if (nl > start)
-            out += prefix + text.substr(start, nl - start);
-        out += '\n';
-        start = nl + 1;
-    }
-    if (!out.empty() && out.back() == '\n')
-        out.pop_back();
-    return out;
-}
-
-/**
- * Parse a whole decimal integer in [@p lo, @p hi] into @p out. Signs,
- * blanks, trailing text and out-of-range values are refused, so a
- * typo never runs as 0 or as a wrapped-around huge value.
- */
-bool
-parseBounded(const char *text, std::uint64_t lo, std::uint64_t hi,
-             std::uint64_t &out)
-{
-    if (*text < '0' || *text > '9')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (errno != 0 || *end != '\0' || v < lo || v > hi)
-        return false;
-    out = v;
-    return true;
-}
-
 } // namespace
 
 int
@@ -135,69 +93,41 @@ main(int argc, char **argv)
     std::uint64_t champsim_pid = 1;
     Duration tick_per_instr = 4;
 
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            usage(argv[0]);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
-    // The value of flag argv[i], which must be an integer in [lo, hi];
-    // anything else is a usage error naming the flag.
-    auto number = [&](int &i, std::uint64_t lo, std::uint64_t hi,
-                      const char *what) -> std::uint64_t {
-        const char *flag = argv[i];
-        const char *text = need(i);
-        std::uint64_t v = 0;
-        if (!parseBounded(text, lo, hi, v)) {
-            std::fprintf(stderr, "hopp-replay: %s '%s' is not %s\n",
-                         flag, text, what);
-            std::exit(2);
-        }
-        return v;
-    };
-    constexpr std::uint64_t u32max = 0xFFFFFFFFull;
+    const cli::Flags flags("hopp-replay", argc, argv, usage);
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--trace") {
-            trace_path = need(i);
+            trace_path = flags.value(i);
         } else if (arg == "--tiers") {
             tier_masks.push_back(static_cast<unsigned>(
-                number(i, 1, 15, "a tier mask in 1..15")));
+                flags.integer(i, 1, 15, "a tier mask in 1..15")));
         } else if (arg == "--threshold") {
             thresholds.push_back(static_cast<unsigned>(
-                number(i, 1, u32max, "a threshold >= 1")));
+                flags.integer(i, 1, cli::u32max, "a threshold >= 1")));
         } else if (arg == "--channels") {
-            const std::uint64_t n =
-                number(i, 1, 64, "a power of two in 1..64");
-            if ((n & (n - 1)) != 0) {
-                std::fprintf(stderr, "hopp-replay: --channels '%llu' is"
-                                     " not a power of two in 1..64\n",
-                             static_cast<unsigned long long>(n));
-                return 2;
-            }
-            base.hopp.channels = static_cast<unsigned>(n);
+            base.hopp.channels =
+                flags.powerOfTwo(i, 64, "a power of two in 1..64");
         } else if (arg == "--no-interleave") {
             base.hopp.channelInterleaved = false;
         } else if (arg == "--markov") {
             markov = true;
         } else if (arg == "--jobs") {
-            const std::uint64_t n =
-                number(i, 0, u32max, "a worker count (0 = all cores)");
+            const std::uint64_t n = flags.integer(
+                i, 0, cli::u32max, "a worker count (0 = all cores)");
             jobs = n == 0 ? SweepPool::hardwareJobs()
                           : static_cast<unsigned>(n);
         } else if (arg == "--out") {
-            out_path = need(i);
+            out_path = flags.value(i);
         } else if (arg == "--mc-stats-json") {
-            mc_stats_json = need(i);
+            mc_stats_json = flags.value(i);
         } else if (arg == "--import-champsim") {
-            champsim_in = need(i);
+            champsim_in = flags.value(i);
         } else if (arg == "--pid") {
-            champsim_pid = number(i, 0, 0xFFFF, "a pid in 0..65535");
+            champsim_pid = flags.integer(i, 0, 0xFFFF, "a pid in 0..65535");
         } else if (arg == "--tick-per-instr") {
             tick_per_instr = static_cast<Duration>(
-                number(i, 0, ~std::uint64_t{0}, "a tick count"));
+                flags.integer(i, 0, cli::u64max, "a tick count"));
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -299,10 +229,10 @@ main(int argc, char **argv)
                                 trace::traceIoStatusName(st)) +
                             "\",\n";
                     frag += "      \"mc_stats\":\n" +
-                            indent(engine.mcStatsJson(cell), 6) +
+                            cli::indent(engine.mcStatsJson(cell), 6) +
                             ",\n";
                     frag += "      \"oracle\":\n" +
-                            indent(engine.oracleJson(cell), 6) + "\n";
+                            cli::indent(engine.oracleJson(cell), 6) + "\n";
                     frag += "    }";
                     out.byTier.push_back(std::move(frag));
                 }

@@ -1,46 +1,44 @@
 /**
  * @file
  * hopp-report: aggregate one run's observability artifacts into a
- * single ranked report, with baseline diffing for CI.
+ * single ranked report, and gate a benchmark result on its baseline.
  *
- *   hopp-report [--bench FILE] [--baseline FILE]
- *               [--fail-on-regress PCT] [--stats FILE]
- *               [--metrics FILE] [--profile FILE]
- *               [--out FILE.md] [--json FILE.json] [--github]
- *               [--top N]
+ *   hopp-report [--bench FILE] [--baseline FILE] [--spec FILE]
+ *               [--stats FILE] [--metrics FILE] [--profile FILE]
+ *               [--out FILE.md] [--github] [--top N]
  *
  * Inputs (all optional, at least one required):
- *   --bench FILE     bench_simcore output (BENCH_simcore.json)
- *   --baseline FILE  a previous bench JSON to diff against
+ *   --bench FILE     a perfbench result line (the last line of
+ *                    `python3 perfbench/run.py` output)
+ *   --baseline FILE  the perfbench result line to diff against
+ *   --spec FILE      the benchmark declaration (BENCHMARK.json)
  *   --stats FILE     hopp-run --stats-json output
  *   --metrics FILE   hopp-run --metrics-out CSV
- *   --profile FILE   hopp-run --profile-out / bench self-profile JSON
+ *   --profile FILE   hopp-run --profile-out JSON
  *
- * Outputs:
- *   markdown report to stdout (or --out FILE.md), optional machine
- *   summary to --json FILE.json, and with --github one
- *   `::warning` annotation per regression for Actions logs.
+ * Outputs: a markdown report to stdout (or --out FILE.md), and with
+ * --github one `::warning` annotation per regression for Actions logs.
  *
- * Regression gate: --fail-on-regress 10% exits non-zero when any
- * direction-aware bench metric moved more than the threshold the
- * wrong way vs the baseline. Direction comes from the metric name:
- * throughput-like suffixes (_per_sec, speedup, hit_rate, accuracy,
- * coverage, fraction, compression_ratio, identical_results — booleans
- * diff as 0/1, so a fidelity flag flipping false regresses by 100%)
- * must not drop; cost-like suffixes (wall_sec, wall_ns_per_sim_ms,
- * miss_rate, bytes_per_record) must not rise; anything else (counts,
- * configs) is reported but never gates.
+ * Regression gate: with --baseline (which needs --spec) the tool exits
+ * 1 when an end-to-end metric of the spec is worse than the baseline
+ * by more than its declared `bound`, in its declared `better`
+ * direction, or is missing from the result, or when the result's
+ * `failed` run count rose. Per-layer metrics are reported with their
+ * declared direction but never gate; metrics the spec does not name
+ * are informational.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "obs/json.hh"
+#include "obs/trace_writer.hh"
 
 namespace json = hopp::obs::json;
 
@@ -52,56 +50,130 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--bench FILE] [--baseline FILE]\n"
-        "          [--fail-on-regress PCT] [--stats FILE]\n"
-        "          [--metrics FILE] [--profile FILE]\n"
-        "          [--out FILE.md] [--json FILE.json] [--github]\n"
-        "          [--top N]\n",
+        "usage: %s [--bench FILE] [--baseline FILE] [--spec FILE]\n"
+        "          [--stats FILE] [--metrics FILE] [--profile FILE]\n"
+        "          [--out FILE.md] [--github] [--top N]\n",
         argv0);
 }
 
+/** Print "hopp-report: @p path: @p what" and return false. */
 bool
-readFile(const std::string &path, std::string &out)
+invalid(const std::string &path, const std::string &what)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        std::fprintf(stderr, "hopp-report: cannot open '%s'\n",
-                     path.c_str());
-        return false;
-    }
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    std::fclose(f);
-    return true;
-}
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f) {
-        std::fprintf(stderr, "hopp-report: cannot write '%s'\n",
-                     path.c_str());
-        return false;
-    }
-    std::size_t n = std::fwrite(content.data(), 1, content.size(), f);
-    std::fclose(f);
-    return n == content.size();
+    std::fprintf(stderr, "hopp-report: %s: %s\n", path.c_str(),
+                 what.c_str());
+    return false;
 }
 
 bool
 loadJson(const std::string &path, json::Value &out)
 {
-    std::string text;
-    if (!readFile(path, text))
+    std::string text, err;
+    if (!hopp::cli::readFile("hopp-report", path, text))
         return false;
-    std::string err;
-    if (!json::parse(text, out, &err)) {
-        std::fprintf(stderr, "hopp-report: %s: %s\n", path.c_str(),
-                     err.c_str());
+    return json::parse(text, out, &err) || invalid(path, err);
+}
+
+/** What the benchmark declaration says about one metric. */
+struct MetricSpec
+{
+    bool endToEnd = false; //!< gated; per-layer metrics only report
+    int better = 0;        //!< +1: higher is better; -1: lower
+    double bound = 0.0;    //!< tolerated worsening, fraction of baseline
+};
+
+/**
+ * Read the `end_to_end` and `per_layer` lists of a benchmark
+ * declaration: each entry names its metric and whether `higher` or
+ * `lower` is better, and each end-to-end entry its `bound`.
+ */
+bool
+loadSpec(const std::string &path, std::map<std::string, MetricSpec> &out)
+{
+    json::Value doc;
+    if (!loadJson(path, doc))
         return false;
+    for (const std::string list : {"end_to_end", "per_layer"}) {
+        const json::Value *entries = doc.find(list);
+        if (entries == nullptr || !entries->isArray())
+            return invalid(path, "no '" + list + "' list");
+        for (const json::Value &e : entries->items()) {
+            const json::Value *name = e.find("name");
+            const json::Value *better = e.find("better");
+            const json::Value *bound = e.find("bound");
+            if (name == nullptr || !name->isString())
+                return invalid(path, "an entry of '" + list +
+                                         "' has no name");
+            MetricSpec m;
+            m.endToEnd = list == "end_to_end";
+            const std::string dir =
+                better != nullptr && better->isString() ? better->str()
+                                                        : "";
+            m.better = dir == "higher" ? 1 : dir == "lower" ? -1 : 0;
+            if (m.better == 0)
+                return invalid(path, name->str() + ": 'better' is not "
+                                                   "higher or lower");
+            if (m.endToEnd) {
+                if (bound == nullptr || !bound->isNumber() ||
+                    !(bound->number() >= 0.0))
+                    return invalid(path, name->str() + ": 'bound' is "
+                                                       "not a number >= 0");
+                m.bound = bound->number();
+            }
+            out[name->str()] = m;
+        }
+    }
+    return true;
+}
+
+/** One metric of a perfbench result line. */
+struct Metric
+{
+    std::string name, unit;
+    double value = 0.0;
+};
+
+/** A perfbench result line: run counts and metrics in document order. */
+struct BenchResult
+{
+    double attempted = 0.0, failed = 0.0;
+    std::vector<Metric> metrics;
+
+    const Metric *
+    find(const std::string &name) const
+    {
+        for (const Metric &m : metrics) {
+            if (m.name == name)
+                return &m;
+        }
+        return nullptr;
+    }
+};
+
+bool
+loadBench(const std::string &path, BenchResult &out)
+{
+    json::Value doc;
+    if (!loadJson(path, doc))
+        return false;
+    const json::Value *attempted = doc.find("attempted");
+    const json::Value *failed = doc.find("failed");
+    const json::Value *metrics = doc.find("metrics");
+    if (attempted == nullptr || !attempted->isNumber() ||
+        failed == nullptr || !failed->isNumber() || metrics == nullptr ||
+        !metrics->isObject())
+        return invalid(path, "not a perfbench result line (needs "
+                             "'attempted', 'failed' and 'metrics')");
+    out.attempted = attempted->number();
+    out.failed = failed->number();
+    for (const auto &[name, m] : metrics->members()) {
+        const json::Value *value = m.find("value");
+        const json::Value *unit = m.find("unit");
+        if (value == nullptr || !value->isNumber())
+            return invalid(path, name + ": no numeric 'value'");
+        out.metrics.push_back(
+            {name, unit != nullptr && unit->isString() ? unit->str() : "",
+             value->number()});
     }
     return true;
 }
@@ -113,70 +185,25 @@ struct Leaf
     double value = 0.0;
 };
 
+/** The numeric leaves of a stats document (nested objects of numbers). */
 void
 flatten(const json::Value &v, const std::string &prefix,
         std::vector<Leaf> &out)
 {
-    if (v.isNumber()) {
+    if (v.isNumber())
         out.push_back({prefix, v.number()});
-        return;
-    }
-    if (v.isBool()) {
-        // Booleans diff as 0/1 so a flipped acceptance flag (e.g. a
-        // replay's identical_results going false) shows up as a 100%
-        // move instead of silently vanishing from the report.
-        out.push_back({prefix, v.boolean() ? 1.0 : 0.0});
-        return;
-    }
-    if (v.isObject()) {
-        for (const auto &[k, m] : v.members())
-            flatten(m, prefix.empty() ? k : prefix + "." + k, out);
-        return;
-    }
-    if (v.isArray()) {
-        for (std::size_t i = 0; i < v.items().size(); ++i)
-            flatten(v.items()[i], prefix + "[" + std::to_string(i) + "]",
-                    out);
-    }
-    // Strings/null carry no comparable magnitude.
-}
-
-bool
-endsWith(const std::string &s, const char *suffix)
-{
-    std::size_t n = std::strlen(suffix);
-    return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-/** +1: larger is better; -1: smaller is better; 0: don't gate. */
-int
-direction(const std::string &metric)
-{
-    if (endsWith(metric, "wall_sec") ||
-        endsWith(metric, "wall_ns_per_sim_ms") ||
-        endsWith(metric, "miss_rate") ||
-        endsWith(metric, "bytes_per_record"))
-        return -1;
-    if (endsWith(metric, "_per_sec") || endsWith(metric, "speedup") ||
-        endsWith(metric, "hit_rate") || endsWith(metric, "accuracy") ||
-        endsWith(metric, "coverage") || endsWith(metric, "fraction") ||
-        endsWith(metric, "compression_ratio") ||
-        endsWith(metric, "identical_results"))
-        return 1;
-    return 0;
+    for (const auto &[k, m] : v.members())
+        flatten(m, prefix.empty() ? k : prefix + "." + k, out);
 }
 
 /** One bench metric compared against the baseline. */
 struct DiffRow
 {
-    std::string metric;
-    double current = 0.0;
-    double baseline = 0.0;
-    double deltaPct = 0.0; //!< signed raw change, percent of baseline
-    bool hasBaseline = false;
-    int dir = 0;
-    bool regressed = false; //!< moved > threshold the wrong way
-    bool improved = false;  //!< moved > threshold the right way
+    const Metric *current = nullptr;
+    const Metric *baseline = nullptr; //!< null: not in the baseline
+    double deltaPct = 0.0; //!< signed change, percent of the baseline
+    const MetricSpec *spec = nullptr; //!< null: the spec does not name it
+    bool regressed = false; //!< gated and worse than its bound
 };
 
 std::string
@@ -198,9 +225,8 @@ fmtPct(double v)
 
 struct Options
 {
-    std::string bench, baseline, stats, metrics, profile;
-    std::string outMd, outJson;
-    double regressPct = -1.0; //!< <0: report only, never fail
+    std::string bench, baseline, spec, stats, metrics, profile;
+    std::string outMd;
     bool github = false;
     unsigned top = 12;
 };
@@ -269,45 +295,28 @@ int
 main(int argc, char **argv)
 {
     Options opt;
+    const hopp::cli::Flags flags("hopp-report", argc, argv, usage);
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        auto need = [&](const char *what) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "hopp-report: %s needs a value\n",
-                             what);
-                usage(argv[0]);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
         if (arg == "--bench") {
-            opt.bench = need("--bench");
+            opt.bench = flags.value(i);
         } else if (arg == "--baseline") {
-            opt.baseline = need("--baseline");
+            opt.baseline = flags.value(i);
+        } else if (arg == "--spec") {
+            opt.spec = flags.value(i);
         } else if (arg == "--stats") {
-            opt.stats = need("--stats");
+            opt.stats = flags.value(i);
         } else if (arg == "--metrics") {
-            opt.metrics = need("--metrics");
+            opt.metrics = flags.value(i);
         } else if (arg == "--profile") {
-            opt.profile = need("--profile");
+            opt.profile = flags.value(i);
         } else if (arg == "--out") {
-            opt.outMd = need("--out");
-        } else if (arg == "--json") {
-            opt.outJson = need("--json");
-        } else if (arg == "--fail-on-regress") {
-            std::string pct = need("--fail-on-regress");
-            opt.regressPct = std::strtod(pct.c_str(), nullptr);
-            if (opt.regressPct <= 0.0) {
-                std::fprintf(stderr,
-                             "hopp-report: bad --fail-on-regress '%s'\n",
-                             pct.c_str());
-                return 2;
-            }
+            opt.outMd = flags.value(i);
         } else if (arg == "--github") {
             opt.github = true;
         } else if (arg == "--top") {
             opt.top = static_cast<unsigned>(
-                std::strtoul(need("--top"), nullptr, 10));
+                flags.integer(i, 0, hopp::cli::u32max, "a row count"));
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -328,67 +337,76 @@ main(int argc, char **argv)
                      "hopp-report: --baseline needs --bench to diff\n");
         return 2;
     }
+    if (!opt.baseline.empty() && opt.spec.empty()) {
+        std::fprintf(stderr, "hopp-report: --baseline needs --spec for "
+                             "each metric's direction and bound\n");
+        return 2;
+    }
 
-    // The gate threshold: when --fail-on-regress is absent, diff with
-    // a 10% marker threshold but never fail.
-    const double thr = opt.regressPct > 0.0 ? opt.regressPct : 10.0;
+    std::map<std::string, MetricSpec> spec;
+    if (!opt.spec.empty() && !loadSpec(opt.spec, spec))
+        return 2;
 
     std::string md;
     md += "# HoPP performance report\n";
 
     // ---- Bench + baseline diff ------------------------------------
-    std::vector<DiffRow> rows;
-    bool haveBaseline = false;
+    std::vector<std::string> findings; //!< why the gate fails, if it does
     if (!opt.bench.empty()) {
-        json::Value bench;
-        if (!loadJson(opt.bench, bench))
+        const bool haveBaseline = !opt.baseline.empty();
+        BenchResult cur, base;
+        if (!loadBench(opt.bench, cur))
             return 2;
-        std::vector<Leaf> cur;
-        flatten(bench, "", cur);
+        if (haveBaseline && !loadBench(opt.baseline, base))
+            return 2;
 
-        std::vector<Leaf> base;
-        if (!opt.baseline.empty()) {
-            json::Value bl;
-            if (!loadJson(opt.baseline, bl))
-                return 2;
-            flatten(bl, "", base);
-            haveBaseline = true;
-        }
-
-        for (const Leaf &l : cur) {
+        auto gated = [](const DiffRow &r) {
+            return r.spec != nullptr && r.spec->endToEnd;
+        };
+        std::vector<DiffRow> rows;
+        for (const Metric &m : cur.metrics) {
             DiffRow r;
-            r.metric = l.path;
-            r.current = l.value;
-            r.dir = direction(l.path);
-            for (const Leaf &b : base) {
-                if (b.path == l.path) {
-                    r.baseline = b.value;
-                    r.hasBaseline = true;
-                    break;
-                }
+            r.current = &m;
+            r.baseline = base.find(m.name);
+            auto it = spec.find(m.name);
+            if (it != spec.end())
+                r.spec = &it->second;
+            if (r.baseline != nullptr && r.baseline->value != 0.0) {
+                const double b = r.baseline->value;
+                r.deltaPct = (m.value - b) / std::fabs(b) * 100.0;
+                r.regressed = gated(r) && -r.spec->better * r.deltaPct >
+                                              r.spec->bound * 100.0;
             }
-            if (r.hasBaseline && r.baseline != 0.0) {
-                r.deltaPct = (r.current - r.baseline) /
-                             std::fabs(r.baseline) * 100.0;
-                if (r.dir > 0) {
-                    r.regressed = r.deltaPct < -thr;
-                    r.improved = r.deltaPct > thr;
-                } else if (r.dir < 0) {
-                    r.regressed = r.deltaPct > thr;
-                    r.improved = r.deltaPct < -thr;
-                }
-            }
-            rows.push_back(std::move(r));
+            if (r.regressed)
+                findings.push_back(
+                    m.name + " moved " + fmtPct(r.deltaPct) +
+                    " vs baseline, past its " +
+                    fmtNum(r.spec->bound * 100.0) + "% bound (current " +
+                    fmtNum(m.value) + ", baseline " +
+                    fmtNum(r.baseline->value) + ")");
+            rows.push_back(r);
         }
+        // A gated metric the baseline has and the result lacks cannot
+        // be checked, so it fails the gate rather than passing it.
+        for (const Metric &m : base.metrics) {
+            auto it = spec.find(m.name);
+            if (cur.find(m.name) == nullptr && it != spec.end() &&
+                it->second.endToEnd)
+                findings.push_back(m.name + " is missing from the result");
+        }
+        if (haveBaseline && cur.failed > base.failed)
+            findings.push_back("failed runs rose from " +
+                               fmtNum(base.failed) + " to " +
+                               fmtNum(cur.failed));
 
-        // Ranked: regressions first, then by |delta|; undiffed rows
-        // keep document order at the bottom.
+        // Ranked: regressions first, then gated metrics, then by how
+        // far each moved.
         std::stable_sort(rows.begin(), rows.end(),
-                         [](const DiffRow &a, const DiffRow &b) {
+                         [&](const DiffRow &a, const DiffRow &b) {
                              if (a.regressed != b.regressed)
                                  return a.regressed;
-                             if (a.hasBaseline != b.hasBaseline)
-                                 return a.hasBaseline;
+                             if (gated(a) != gated(b))
+                                 return gated(a);
                              return std::fabs(a.deltaPct) >
                                     std::fabs(b.deltaPct);
                          });
@@ -396,32 +414,36 @@ main(int argc, char **argv)
         md += "\n## Bench: " + opt.bench;
         if (haveBaseline)
             md += " vs baseline " + opt.baseline;
-        md += "\n\n";
+        md += "\n\nruns: " + fmtNum(cur.attempted) + " attempted, " +
+              fmtNum(cur.failed) + " failed the output check";
         if (haveBaseline)
-            md += "| metric | current | baseline | delta | status |\n"
-                  "|---|---:|---:|---:|---|\n";
-        else
-            md += "| metric | current |\n|---|---:|\n";
+            md += " (baseline: " + fmtNum(base.attempted) + " attempted, " +
+                  fmtNum(base.failed) + " failed)";
+        md += "\n\n| metric | unit | current | baseline | delta | better "
+              "| bound | status |\n"
+              "|---|---|---:|---:|---:|---|---:|---|\n";
         for (const DiffRow &r : rows) {
-            if (haveBaseline) {
-                const char *status =
-                    !r.hasBaseline        ? "new"
-                    : r.regressed         ? "**REGRESSED**"
-                    : r.improved          ? "improved"
-                    : r.dir == 0          ? "info"
-                                          : "ok";
-                md += "| " + r.metric + " | " + fmtNum(r.current) +
-                      " | " +
-                      (r.hasBaseline ? fmtNum(r.baseline)
-                                     : std::string("-")) +
-                      " | " +
-                      (r.hasBaseline ? fmtPct(r.deltaPct)
-                                     : std::string("-")) +
-                      " | " + status + " |\n";
-            } else {
-                md += "| " + r.metric + " | " + fmtNum(r.current) +
-                      " |\n";
-            }
+            const bool diffed = r.baseline != nullptr;
+            const char *status = !diffed      ? "-"
+                                 : r.regressed ? "**REGRESSED**"
+                                 : gated(r)    ? "ok"
+                                               : "report only";
+            md += "| " + r.current->name + " | " + r.current->unit +
+                  " | " + fmtNum(r.current->value) + " | " +
+                  (diffed ? fmtNum(r.baseline->value) : "-") + " | " +
+                  (diffed ? fmtPct(r.deltaPct) : "-") + " | " +
+                  (r.spec == nullptr     ? "-"
+                   : r.spec->better > 0 ? "higher"
+                                        : "lower") +
+                  " | " +
+                  (gated(r) ? fmtNum(r.spec->bound * 100.0) + "%" : "-") +
+                  " | " + status + " |\n";
+        }
+        if (haveBaseline) {
+            md += "\n" + std::to_string(findings.size()) +
+                  " gate finding(s) against the declared bounds.\n";
+            for (const std::string &f : findings)
+                md += "- " + f + "\n";
         }
     }
 
@@ -498,7 +520,7 @@ main(int argc, char **argv)
     // ---- Metrics CSV ----------------------------------------------
     if (!opt.metrics.empty()) {
         std::string text;
-        if (!readFile(opt.metrics, text))
+        if (!hopp::cli::readFile("hopp-report", opt.metrics, text))
             return 2;
         std::vector<ColumnSummary> cols;
         if (summarizeCsv(text, cols)) {
@@ -514,65 +536,21 @@ main(int argc, char **argv)
     }
 
     // ---- Verdict --------------------------------------------------
-    std::vector<const DiffRow *> regressions;
-    for (const DiffRow &r : rows) {
-        if (r.regressed)
-            regressions.push_back(&r);
-    }
-    if (haveBaseline) {
-        char line[128];
-        std::snprintf(line, sizeof line,
-                      "\n%zu regression(s) beyond %.1f%%.\n",
-                      regressions.size(), thr);
-        md += line;
-    }
-
     if (opt.github) {
-        for (const DiffRow *r : regressions) {
-            std::printf("::warning title=perf-regression::%s moved "
-                        "%s vs baseline (current %s, baseline %s)\n",
-                        r->metric.c_str(), fmtPct(r->deltaPct).c_str(),
-                        fmtNum(r->current).c_str(),
-                        fmtNum(r->baseline).c_str());
-        }
+        for (const std::string &f : findings)
+            std::printf("::warning title=perf-regression::%s\n",
+                        f.c_str());
     }
-
-    if (!opt.outJson.empty()) {
-        std::string js;
-        js += "{\n  \"schema\": \"hopp-report-v1\",\n";
-        char line[256];
-        std::snprintf(line, sizeof line,
-                      "  \"threshold_pct\": %.2f,\n"
-                      "  \"regressions\": [\n",
-                      thr);
-        js += line;
-        for (std::size_t i = 0; i < regressions.size(); ++i) {
-            const DiffRow *r = regressions[i];
-            std::snprintf(line, sizeof line,
-                          "    {\"metric\": \"%s\", \"current\": %.10g, "
-                          "\"baseline\": %.10g, \"delta_pct\": %.4f}%s\n",
-                          r->metric.c_str(), r->current, r->baseline,
-                          r->deltaPct,
-                          i + 1 < regressions.size() ? "," : "");
-            js += line;
-        }
-        js += "  ]\n}\n";
-        if (!writeFile(opt.outJson, js))
-            return 2;
-    }
-
     if (!opt.outMd.empty()) {
-        if (!writeFile(opt.outMd, md))
+        if (!hopp::obs::writeFile(opt.outMd, md))
             return 2;
     } else {
         std::fputs(md.c_str(), stdout);
     }
 
-    if (opt.regressPct > 0.0 && !regressions.empty()) {
-        std::fprintf(stderr,
-                     "hopp-report: %zu metric(s) regressed beyond "
-                     "%.1f%%\n",
-                     regressions.size(), opt.regressPct);
+    if (!findings.empty()) {
+        std::fprintf(stderr, "hopp-report: %zu gate finding(s)\n",
+                     findings.size());
         return 1;
     }
     return 0;

@@ -20,11 +20,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "hopp/hopp_system.hh"
 #include "obs/profiler.hh"
 #include "obs/trace_writer.hh"
@@ -47,13 +46,17 @@ usage(const char *argv0)
         " kmeans-omp)\n"
         "  --system NAME       local | no-prefetch | fastswap | leap |"
         " vma | depth-n | hopp | hopp-only (default hopp)\n"
-        "  --ratio F           local memory / footprint (default 0.5)\n"
-        "  --scale F           footprint scale factor (default 1.0)\n"
-        "  --iterations F      iteration scale factor (default 1.0)\n"
+        "  --ratio F           local memory / footprint in (0, 1]"
+        " (default 0.5)\n"
+        "  --scale F           footprint scale factor in (0, 1000]"
+        " (default 1.0)\n"
+        "  --iterations F      iteration scale factor in (0, 1000]"
+        " (default 1.0)\n"
         "  --depth N           Depth-N depth (default 32)\n"
-        "  --tiers MASK        tier bitmask: 1=SSP 2=LSP 4=RSP 8=Markov"
-        " (default 7)\n"
-        "  --channels N        memory channels (default 1)\n"
+        "  --tiers MASK        tier bitmask 1..15: 1=SSP 2=LSP 4=RSP"
+        " 8=Markov (default 7)\n"
+        "  --channels N        memory channels, a power of two 1..64"
+        " (default 1)\n"
         "  --no-interleave     per-page channel layout\n"
         "  --batch             enable huge-batch prefetching\n"
         "  --markov            shorthand for --tiers 15\n"
@@ -177,34 +180,32 @@ main(int argc, char **argv)
     std::string profile_out, blackbox_out, mc_stats_json;
     Duration metrics_period = 100'000; // 100 us of simulated time
 
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            usage(argv[0]);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
+    const cli::Flags flags("hopp-run", argc, argv, usage);
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--workload") {
-            workload_names.push_back(need(i));
+            workload_names.push_back(flags.value(i));
         } else if (arg == "--system") {
-            cfg.system = parseSystem(need(i));
+            cfg.system = parseSystem(flags.value(i));
         } else if (arg == "--ratio") {
-            cfg.localMemRatio = std::atof(need(i));
+            cfg.localMemRatio =
+                flags.positive(i, 1.0, "a number in (0, 1]");
         } else if (arg == "--scale") {
-            scale.footprint = std::atof(need(i));
+            scale.footprint =
+                flags.positive(i, 1000.0, "a number in (0, 1000]");
         } else if (arg == "--iterations") {
-            scale.iterations = std::atof(need(i));
+            scale.iterations =
+                flags.positive(i, 1000.0, "a number in (0, 1000]");
         } else if (arg == "--depth") {
-            cfg.depth = static_cast<unsigned>(std::atoi(need(i)));
+            cfg.depth = static_cast<unsigned>(
+                flags.integer(i, 0, cli::u32max, "a depth"));
         } else if (arg == "--tiers") {
-            cfg.hopp.tierMask =
-                static_cast<unsigned>(std::atoi(need(i)));
+            cfg.hopp.tierMask = static_cast<unsigned>(
+                flags.integer(i, 1, 15, "a tier mask in 1..15"));
         } else if (arg == "--channels") {
             cfg.hopp.channels =
-                static_cast<unsigned>(std::atoi(need(i)));
+                flags.powerOfTwo(i, 64, "a power of two in 1..64");
         } else if (arg == "--no-interleave") {
             cfg.hopp.channelInterleaved = false;
         } else if (arg == "--batch") {
@@ -219,35 +220,35 @@ main(int argc, char **argv)
             cfg.batch = false;
         } else if (arg == "--check") {
             cfg.checkInterval =
-                static_cast<std::uint64_t>(std::atoll(need(i)));
+                flags.integer(i, 0, cli::u64max, "an event count");
         } else if (arg == "--seed") {
-            seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+            seed = flags.integer(i, 0, cli::u64max, "a seed");
         } else if (arg == "--dump-hopp") {
             dump_hopp = true;
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--stats-json") {
-            stats_json = need(i);
+            stats_json = flags.value(i);
         } else if (arg == "--trace-out") {
-            trace_out = need(i);
+            trace_out = flags.value(i);
         } else if (arg == "--trace-jsonl") {
-            trace_jsonl = need(i);
+            trace_jsonl = flags.value(i);
         } else if (arg == "--metrics-out") {
-            metrics_out = need(i);
+            metrics_out = flags.value(i);
         } else if (arg == "--profile-out") {
-            profile_out = need(i);
+            profile_out = flags.value(i);
         } else if (arg == "--blackbox-out") {
-            blackbox_out = need(i);
+            blackbox_out = flags.value(i);
         } else if (arg == "--record-trace") {
-            cfg.recordTracePath = need(i);
+            cfg.recordTracePath = flags.value(i);
         } else if (arg == "--mc-stats-json") {
-            mc_stats_json = need(i);
+            mc_stats_json = flags.value(i);
         } else if (arg == "--inject-corruption") {
             cfg.corruptAfterEvents =
-                static_cast<std::uint64_t>(std::atoll(need(i)));
+                flags.integer(i, 0, cli::u64max, "an event count");
         } else if (arg == "--metrics-period") {
             metrics_period =
-                static_cast<Duration>(std::atoll(need(i)));
+                flags.integer(i, 1, cli::u64max, "a period >= 1 ns");
         } else if (arg == "--list") {
             for (const auto &n : workloads::allWorkloadNames())
                 std::printf("%s\n", n.c_str());

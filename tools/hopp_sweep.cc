@@ -23,14 +23,11 @@
  *   hopp-sweep --workload microbench --scale 0.2 --out sweep.json
  */
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "obs/trace_writer.hh"
 #include "runner/machine.hh"
 #include "runner/stats_report.hh"
@@ -50,10 +47,12 @@ usage(const char *argv0)
         "  --workload NAME  workload (repeatable; default kmeans-omp)\n"
         "  --system NAME    system under test (repeatable; default"
         " hopp)\n"
-        "  --ratio F        local memory / footprint (repeatable;"
-        " default 0.5)\n"
-        "  --scale F        footprint scale factor (default 1.0)\n"
-        "  --iterations F   iteration scale factor (default 1.0)\n"
+        "  --ratio F        local memory / footprint in (0, 1]"
+        " (repeatable; default 0.5)\n"
+        "  --scale F        footprint scale factor in (0, 1000]"
+        " (default 1.0)\n"
+        "  --iterations F   iteration scale factor in (0, 1000]"
+        " (default 1.0)\n"
         "  --seed N         workload seed (default 42)\n"
         "  --jobs N         host worker threads (default 1; 0 = all"
         " cores)\n"
@@ -75,54 +74,6 @@ parseSystem(const std::string &name)
     hopp_fatal("unknown system '%s'", name.c_str());
 }
 
-/** Is @p s spelled as a JSON number: -?(0|[1-9]d*)(.d+)?([eE][+-]?d+)? */
-bool
-jsonNumber(const std::string &s)
-{
-    std::size_t i = 0;
-    auto digits = [&] {
-        std::size_t start = i;
-        while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i])))
-            ++i;
-        return i > start;
-    };
-    auto skip = [&](const char *set) {
-        if (i < s.size() && s[i] != '\0' && std::strchr(set, s[i]))
-            ++i;
-    };
-    skip("-");
-    if (i < s.size() && s[i] == '0')
-        ++i;
-    else if (!digits())
-        return false;
-    if (i < s.size() && s[i] == '.') {
-        ++i;
-        if (!digits())
-            return false;
-    }
-    if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
-        ++i;
-        skip("+-");
-        if (!digits())
-            return false;
-    }
-    return i == s.size();
-}
-
-/**
- * Parse one --ratio value into @p out. The whole text must be a number
- * in (0, 1] spelled as a JSON number, because the document echoes it
- * verbatim ("0.5abc", ".5" and "nan" are all refused).
- */
-bool
-parseRatio(const std::string &text, double &out)
-{
-    if (!jsonNumber(text))
-        return false;
-    out = std::strtod(text.c_str(), nullptr);
-    return std::isfinite(out) && out > 0.0 && out <= 1.0;
-}
-
 /** One cell of the cross product. */
 struct SweepConfig
 {
@@ -131,28 +82,6 @@ struct SweepConfig
     std::string ratioText; //!< as given on the command line
     double ratio;
 };
-
-/** Indent every line of a rendered JSON block by @p pad spaces. */
-std::string
-indent(const std::string &text, int pad)
-{
-    std::string out;
-    std::string prefix(static_cast<std::size_t>(pad), ' ');
-    std::size_t start = 0;
-    while (start < text.size()) {
-        std::size_t nl = text.find('\n', start);
-        if (nl == std::string::npos)
-            nl = text.size();
-        if (nl > start)
-            out += prefix + text.substr(start, nl - start);
-        out += '\n';
-        start = nl + 1;
-    }
-    // Drop the trailing newline so the caller controls separators.
-    if (!out.empty() && out.back() == '\n')
-        out.pop_back();
-    return out;
-}
 
 /**
  * Run one configuration and render its complete result fragment. All
@@ -182,7 +111,7 @@ runOneConfig(const SweepConfig &sc, const workloads::WorkloadScale &scale,
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.0f", toDouble(r.makespan));
     out += "      \"makespan_ns\": " + std::string(buf) + ",\n";
-    out += "      \"stats\":\n" + indent(statsJson(machine), 6) + "\n";
+    out += "      \"stats\":\n" + cli::indent(statsJson(machine), 6) + "\n";
     out += "    }";
     return out;
 }
@@ -200,43 +129,35 @@ main(int argc, char **argv)
     unsigned jobs = 1;
     std::string out_path;
 
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            usage(argv[0]);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
+    const cli::Flags flags("hopp-sweep", argc, argv, usage);
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--workload") {
-            workload_names.push_back(need(i));
+            workload_names.push_back(flags.value(i));
         } else if (arg == "--system") {
-            systems.push_back(parseSystem(need(i)));
+            systems.push_back(parseSystem(flags.value(i)));
         } else if (arg == "--ratio") {
-            std::string text = need(i);
-            double ratio = 0.0;
-            if (!parseRatio(text, ratio)) {
-                std::fprintf(stderr,
-                             "hopp-sweep: --ratio '%s' is not a number "
-                             "in (0, 1]\n",
-                             text.c_str());
-                return 2;
-            }
-            ratios.emplace_back(text, ratio);
+            // The document echoes the text verbatim, which is valid
+            // JSON because every real flag is spelled as a JSON number.
+            const double ratio =
+                flags.positive(i, 1.0, "a number in (0, 1]");
+            ratios.emplace_back(argv[i], ratio);
         } else if (arg == "--scale") {
-            scale.footprint = std::atof(need(i));
+            scale.footprint =
+                flags.positive(i, 1000.0, "a number in (0, 1000]");
         } else if (arg == "--iterations") {
-            scale.iterations = std::atof(need(i));
+            scale.iterations =
+                flags.positive(i, 1000.0, "a number in (0, 1000]");
         } else if (arg == "--seed") {
-            seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+            seed = flags.integer(i, 0, cli::u64max, "a seed");
         } else if (arg == "--jobs") {
-            int n = std::atoi(need(i));
-            jobs = n <= 0 ? SweepPool::hardwareJobs()
+            const std::uint64_t n = flags.integer(
+                i, 0, cli::u32max, "a worker count (0 = all cores)");
+            jobs = n == 0 ? SweepPool::hardwareJobs()
                           : static_cast<unsigned>(n);
         } else if (arg == "--out") {
-            out_path = need(i);
+            out_path = flags.value(i);
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;

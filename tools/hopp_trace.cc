@@ -20,11 +20,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "obs/json.hh"
 #include "obs/trace_check.hh"
 
@@ -40,23 +39,6 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [--check] [--summary] [--top N] FILE\n",
                  argv0);
-}
-
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        std::fprintf(stderr, "hopp_trace: cannot open '%s'\n",
-                     path.c_str());
-        return false;
-    }
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    std::fclose(f);
-    return true;
 }
 
 /**
@@ -172,6 +154,7 @@ main(int argc, char **argv)
     bool summary = false;
     unsigned top = 10;
     std::string path;
+    const hopp::cli::Flags flags("hopp_trace", argc, argv, usage);
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -180,11 +163,8 @@ main(int argc, char **argv)
         } else if (arg == "--summary") {
             summary = true;
         } else if (arg == "--top") {
-            if (i + 1 >= argc) {
-                usage(argv[0]);
-                return 2;
-            }
-            top = static_cast<unsigned>(std::atoi(argv[++i]));
+            top = static_cast<unsigned>(
+                flags.integer(i, 0, hopp::cli::u32max, "a row count"));
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -207,7 +187,7 @@ main(int argc, char **argv)
         summary = true;
 
     std::string text;
-    if (!readFile(path, text))
+    if (!hopp::cli::readFile("hopp_trace", path, text))
         return 1;
 
     TraceCheck result;
